@@ -15,6 +15,7 @@ from .errors import (
     IncompatibleGridsError,
     InvalidInputError,
     InvalidParameterError,
+    InvariantError,
     PersintError,
     StageError,
 )

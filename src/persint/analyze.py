@@ -12,6 +12,7 @@ from .errors import (
     IncompatibleGridsError,
     InvalidInputError,
     InvalidParameterError,
+    InvariantError,
 )
 from .seeding import make_rng, pick_index
 
@@ -206,7 +207,8 @@ def _lloyd(x, centers, max_iter):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)  # ties resolve to the lowest center
         inertia = float(d2[np.arange(x.shape[0]), new_labels].sum())
-        assert inertia <= prev_inertia + 1e-9, "k-means inertia increased"
+        if inertia > prev_inertia + 1e-9:
+            raise InvariantError(f"k-means inertia increased: {prev_inertia!r} -> {inertia!r}")
         prev_inertia = inertia
         if labels is not None and np.array_equal(new_labels, labels):
             break

@@ -27,6 +27,10 @@ class DegenerateStatisticError(PersintError):
     """A statistic is undefined because its variance estimate is zero."""
 
 
+class InvariantError(PersintError):
+    """An algorithm broke an invariant it guarantees; a defect, not bad input."""
+
+
 class CsvFormatError(PersintError):
     """A CSV artifact failed to parse. Carries the offending line number."""
 

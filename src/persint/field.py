@@ -203,6 +203,10 @@ def _read_rows(reader, path, spec, first_line):
             vals[i] = [float(v) for v in row]
         except ValueError as exc:
             raise CsvFormatError(path, lineno, f"bad float: {exc}") from None
+    for row in reader:
+        lineno += 1
+        if any(cell.strip() for cell in row):
+            raise CsvFormatError(path, lineno, f"unexpected data after {spec.nx} value rows")
     return vals
 
 

@@ -7,9 +7,15 @@ negating the field, running the sublevel engine, un-negating, and swapping
 birth/death so stored points lie on or above the diagonal. Ties between
 equal values are broken by lexicographic (i, j) node order.
 
-Dim-0 pairs come from union-find with the elder rule; dim-1 pairs from
-GF(2) boundary-matrix reduction of the square columns, with columns kept
-as Python integer bitmasks over edge filtration positions.
+Both dimensions run through one elder-rule union-find, :func:`_elder_merge`.
+Dim 0 merges grid vertices along edges in ascending filtration order. Dim 1
+uses planar duality: on a rectangle, the dim-1 pairs of the sublevel
+filtration are the dim-0 pairs of the reversed filtration on the dual graph,
+whose nodes are the squares plus one eldest "outside" node and whose edges
+are the primal edges (Garin et al., "Duality in persistent homology of
+images", arXiv:2005.04597; de Silva, Morozov, Vejdemo-Johansson,
+"Dualities in persistent (co)homology", arXiv:1107.5665). A dual merge
+pairs the killing edge (birth) with the younger square (death).
 """
 
 import csv
@@ -72,125 +78,116 @@ class PersistenceDiagram:
         return tuple(sorted((p.dim, p.birth, p.death) for p in self.pairs))
 
 
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _elder_merge(node_key, edge_a, edge_b, edge_key):
+    """Elder-rule union-find over a graph whose edges enter by ascending key.
+
+    ``node_key`` ranks the nodes by age: of two merging components, the one
+    whose root has the higher key is elder and survives. Every edge must
+    enter after both its end nodes are born. Returns two index arrays, the
+    younger root killed by each merge and the edge that killed it.
+
+    Basins are contracted with numpy first. Until a node's first entering
+    edge arrives the node is alone, so when that edge's far end is elder the
+    edge kills the node at once: the node points to the far end. Pointer
+    jumping gives each node its basin root, and the Python loop runs only
+    over the edges whose basin roots differ, in entry order.
+    """
+    n_edges = edge_key.size
+    entry = np.argsort(edge_key)
+    a = edge_a[entry]
+    b = edge_b[entry]
+    first = np.full(node_key.size, n_edges)
+    step = np.arange(n_edges)
+    np.minimum.at(first, a, step)
+    np.minimum.at(first, b, step)
+    node = np.flatnonzero(first < n_edges)
+    first = first[node]
+    far = np.where(a[first] == node, b[first], a[first])
+    tree = node_key[far] > node_key[node]
+    child = node[tree]
+    tree_edge = first[tree]
+    root = np.arange(node_key.size)
+    root[child] = far[tree]
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            break
+        root = jumped
+
+    root_a, root_b = root[a], root[b]
+    cross = np.flatnonzero(root_a != root_b)
+    parent = list(range(node_key.size))
+    key = node_key.tolist()
+    younger = []
+    killer = []
+    for e, x, y in zip(cross.tolist(), root_a[cross].tolist(), root_b[cross].tolist()):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        if key[x] < key[y]:
+            x, y = y, x
+        parent[y] = x
+        younger.append(y)
+        killer.append(e)
+    younger = np.concatenate([child, np.array(younger, dtype=np.int64)])
+    killer = entry[np.concatenate([tree_edge, np.array(killer, dtype=np.int64)])]
+    return younger, killer
 
 
 def _sublevel_pairs(vals, max_dim):
-    """Finite (dim, birth, death) pairs of the sublevel filtration of ``vals``.
+    """Finite pairs of the sublevel filtration of ``vals``.
 
-    Returns (pairs, essential_birth). Zero-lifetime pairs are dropped.
+    Returns (dims, births, deaths, essential_birth). Zero-lifetime pairs
+    are dropped.
     """
     nx, ny = vals.shape
     m = nx * ny
     flat = vals.ravel()  # linear index i*ny + j
-    lin = np.arange(m)
     # Total vertex order: by value, then (i, j) lexicographically.
-    order = np.lexsort((lin % ny, lin // ny, flat))
+    order = np.argsort(flat, kind="stable")
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
     sval = flat[order]  # value of the vertex with a given rank
 
-    pairs = []
+    # Horizontal edges (i, j)-(i, j+1), then vertical edges (i, j)-(i+1, j),
+    # each row-major. Edges enter by rank, ties in that index order.
+    lin = np.arange(m).reshape(nx, ny)
+    edge_a = np.concatenate([lin[:, :-1].ravel(), lin[:-1, :].ravel()])
+    edge_b = np.concatenate([lin[:, 1:].ravel(), lin[1:, :].ravel()])
+    edge_rank = np.maximum(rank[edge_a], rank[edge_b])
+    edge_key = edge_rank * edge_rank.size + np.arange(edge_rank.size)
 
-    # Dim 0: union-find over vertex ranks, processed in filtration order.
-    # The root of a set is always its eldest member (minimal rank), so the
-    # root doubles as the component's birth.
-    parent = list(range(m))
-    order_list = order.tolist()
-    rank_list = rank.tolist()
-    for r in range(m):
-        v = order_list[r]
-        i, j = divmod(v, ny)
-        for nb in (
-            v - ny if i > 0 else -1,
-            v + ny if i < nx - 1 else -1,
-            v - 1 if j > 0 else -1,
-            v + 1 if j < ny - 1 else -1,
-        ):
-            if nb < 0:
-                continue
-            nr = rank_list[nb]
-            if nr > r:
-                continue
-            ra = _find(parent, r)
-            rb = _find(parent, nr)
-            if ra == rb:
-                continue
-            if ra > rb:
-                ra, rb = rb, ra  # ra elder, rb younger
-            parent[rb] = ra
-            birth = sval[rb]
-            death = sval[r]
-            if birth != death:
-                pairs.append((0, float(birth), float(death)))
-    essential_birth = float(sval[0])
+    # A vertex's first edge leads to its lowest neighbour, so the basin
+    # pairs of dim 0 have zero length and are dropped below.
+    younger, killer = _elder_merge(-rank, edge_a, edge_b, edge_key)
+    births = [flat[younger]]
+    deaths = [sval[edge_rank[killer]]]
+    dims = [np.zeros(younger.size, dtype=np.int64)]
 
     if max_dim >= 1 and nx >= 2 and ny >= 2:
-        pairs.extend(_square_reduction(rank, sval, nx, ny))
-    return pairs, essential_birth
+        r2 = rank.reshape(nx, ny)
+        sq_rank = np.maximum(
+            np.maximum(r2[:-1, :-1], r2[:-1, 1:]), np.maximum(r2[1:, :-1], r2[1:, 1:])
+        ).ravel()
+        n_sq = sq_rank.size
+        # Square (i, j) is dual node i*(ny-1) + j; the padding is "outside".
+        dual = np.full((nx + 1, ny + 1), n_sq)
+        dual[1:-1, 1:-1] = np.arange(n_sq).reshape(nx - 1, ny - 1)
+        dual_a = np.concatenate([dual[:-1, 1:-1].ravel(), dual[1:-1, :-1].ravel()])
+        dual_b = np.concatenate([dual[1:, 1:-1].ravel(), dual[1:-1, 1:].ravel()])
+        # Reversed filtration: a later square is elder, "outside" eldest.
+        sq_key = np.append(sq_rank * n_sq + np.arange(n_sq), m * n_sq)
+        younger, killer = _elder_merge(sq_key, dual_a, dual_b, -edge_key)
+        births.append(sval[edge_rank[killer]])
+        deaths.append(sval[sq_rank[younger]])
+        dims.append(np.ones(younger.size, dtype=np.int64))
 
-
-def _square_reduction(rank, sval, nx, ny):
-    """Dim-1 pairs by reducing square boundary columns over edge bitmasks."""
-    rank2d = rank.reshape(nx, ny)
-    # Horizontal edges (i, j)-(i, j+1); vertical edges (i, j)-(i+1, j).
-    h_rank = np.maximum(rank2d[:, :-1], rank2d[:, 1:])
-    v_rank = np.maximum(rank2d[:-1, :], rank2d[1:, :])
-    n_h = nx * (ny - 1)
-    edge_rank = np.concatenate([h_rank.ravel(), v_rank.ravel()])
-    edge_kind = np.concatenate(
-        [np.zeros(n_h, dtype=np.int64), np.ones((nx - 1) * ny, dtype=np.int64)]
-    )
-    edge_i = np.concatenate(
-        [np.repeat(np.arange(nx), ny - 1), np.repeat(np.arange(nx - 1), ny)]
-    )
-    edge_j = np.concatenate([np.tile(np.arange(ny - 1), nx), np.tile(np.arange(ny), nx - 1)])
-    # Edge filtration positions: by entry rank, ties by (kind, i, j).
-    edge_order = np.lexsort((edge_j, edge_i, edge_kind, edge_rank))
-    pos = np.empty(edge_rank.size, dtype=np.int64)
-    pos[edge_order] = np.arange(edge_rank.size)
-    pos_birth = sval[edge_rank[edge_order]]  # birth value by edge position
-
-    h_pos = pos[:n_h].reshape(nx, ny - 1)
-    v_pos = pos[n_h:].reshape(nx - 1, ny)
-
-    sq_rank = np.maximum(
-        np.maximum(rank2d[:-1, :-1], rank2d[:-1, 1:]),
-        np.maximum(rank2d[1:, :-1], rank2d[1:, 1:]),
-    )
-    sq_i, sq_j = np.unravel_index(np.arange(sq_rank.size), sq_rank.shape)
-    sq_order = np.lexsort((sq_j, sq_i, sq_rank.ravel()))
-
-    pairs = []
-    low_to_col = {}
-    sq_rank_flat = sq_rank.ravel()
-    for s in sq_order.tolist():
-        i, j = divmod(s, ny - 1)
-        col = (
-            (1 << int(h_pos[i, j]))
-            | (1 << int(h_pos[i + 1, j]))
-            | (1 << int(v_pos[i, j]))
-            | (1 << int(v_pos[i, j + 1]))
-        )
-        while True:
-            low = col.bit_length() - 1
-            other = low_to_col.get(low)
-            if other is None:
-                break
-            col ^= other
-        # A square column can never vanish: a nonzero 2-chain on a planar
-        # rectangle has nonempty boundary.
-        assert col, "square boundary column reduced to zero"
-        low_to_col[low] = col
-        birth = float(pos_birth[low])
-        death = float(sval[sq_rank_flat[s]])
-        if birth != death:
-            pairs.append((1, birth, death))
-    return pairs
+    dims, births, deaths = (np.concatenate(x) for x in (dims, births, deaths))
+    keep = births != deaths
+    return dims[keep], births[keep], deaths[keep], float(sval[0])
 
 
 def grid_persistence(values, direction="superlevel", max_dim=1):
@@ -212,14 +209,15 @@ def grid_persistence(values, direction="superlevel", max_dim=1):
         raise InvalidInputError("field values must all be finite")
 
     if direction == "superlevel":
-        raw, essential = _sublevel_pairs(-vals, max_dim)
-        pairs = [PersistencePair(d, -death, -birth) for d, birth, death in raw]
-        essential = -essential
+        dims, deaths, births, essential = _sublevel_pairs(-vals, max_dim)
+        births, deaths, essential = -births, -deaths, -essential
     else:
-        raw, essential = _sublevel_pairs(vals, max_dim)
-        pairs = [PersistencePair(d, birth, death) for d, birth, death in raw]
-
-    pairs.sort(key=lambda p: (p.dim, p.birth, p.death))
+        dims, births, deaths, essential = _sublevel_pairs(vals, max_dim)
+    order = np.lexsort((deaths, births, dims))
+    pairs = [
+        PersistencePair(d, b, dd)
+        for d, b, dd in zip(dims[order].tolist(), births[order].tolist(), deaths[order].tolist())
+    ]
     return PersistenceDiagram(pairs=pairs, direction=direction, essential_birth=essential)
 
 

@@ -5,7 +5,8 @@ steps, build each level-set cubical complex explicitly, compute persistent
 Betti numbers (components by fresh union-find labelings, loops by GF(2)
 ranks of explicit boundary matrices), and read pair multiplicities off the
 inclusion-exclusion formula. Completely independent of the production
-algorithm, which uses union-find pairing plus column reduction.
+algorithm, an elder-rule union-find that finds loops as components of the
+dual graph (planar duality, Garin et al., arXiv:2005.04597).
 
 Requires distinct vertex values so steps and values coincide.
 """

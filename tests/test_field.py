@@ -148,6 +148,19 @@ def test_field_csv_errors(tmp_path):
     assert err.value.line == 4  # missing second value row
 
 
+def test_field_csv_rejects_trailing_data(tmp_path):
+    fld = GridField(GridSpec(0, 1, 0, 1, 2, 3), np.arange(6.0).reshape(2, 3), "distance")
+    path = tmp_path / "field.csv"
+    write_field(fld, path)
+    written = path.read_text()
+    path.write_text(written + "\n \n")  # blank lines after the values are fine
+    assert np.array_equal(read_field(path).values, fld.values)
+    path.write_text(written + "\n6.0,7.0,8.0\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_field(path)
+    assert err.value.line == 6  # header, spec, two value rows, blank, extra row
+
+
 def test_grid_field_validation():
     spec = GridSpec(0, 1, 0, 1, 2, 2)
     with pytest.raises(InvalidInputError):

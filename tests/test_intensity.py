@@ -169,6 +169,17 @@ def test_intensity_csv_errors(tmp_path):
     assert err.value.line == 3
 
 
+def test_intensity_csv_rejects_trailing_data(tmp_path):
+    grid = smooth_diagram(_diag([(0, 0.2, 0.5)]), 0.1, spec=GridSpec(0, 1, 0, 1, 3, 2))
+    path = tmp_path / "intensity.csv"
+    write_intensity(grid, path)
+    written = path.read_text()
+    path.write_text(written + "0.0,0.0\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_intensity(path)
+    assert err.value.line == 8  # four header lines, three value rows, extra row
+
+
 def test_default_intensity_spec_requires_pairs():
     with pytest.raises(InvalidInputError):
         default_intensity_spec([_diag([])], 0.1)

@@ -53,6 +53,44 @@ def test_matches_oracle_sample():
             assert got.essential_birth == want_essential
 
 
+def _oracle_with_ties(vals, direction):
+    """Oracle diagram of a grid with repeated values.
+
+    The oracle needs distinct values, so it runs on the engine's rank grid
+    (sublevel order: value, then i, then j); ranks map back to values and
+    zero-length pairs are dropped.
+    """
+    nx, ny = vals.shape
+    sub = -vals if direction == "superlevel" else vals
+    ii, jj = np.indices(vals.shape)
+    order = np.lexsort((jj.ravel(), ii.ravel(), sub.ravel()))
+    ranks = np.empty(vals.size)
+    ranks[order] = np.arange(vals.size)
+    raw, essential = oracle_diagram(ranks.reshape(nx, ny), "sublevel", 1)
+    sval = sub.ravel()[order]
+    pairs = [(d, sval[int(b)], sval[int(dd)]) for d, b, dd in raw]
+    essential = sval[int(essential)]
+    if direction == "superlevel":
+        pairs = [(d, -dd, -b) for d, b, dd in pairs]
+        essential = -essential
+    return tuple(sorted((d, float(b), float(dd)) for d, b, dd in pairs if b != dd)), essential
+
+
+def test_matches_oracle_with_ties_and_negative_values():
+    rng = np.random.default_rng(77)
+    for trial in range(40):
+        nx, ny = (int(s) for s in rng.integers(1, 6, size=2))
+        if nx * ny < 2:
+            ny = 2
+        levels = int(rng.integers(1, 4))
+        vals = rng.integers(-levels, levels + 1, size=(nx, ny)) * (0.5 if trial % 2 else -1.25)
+        for direction in ("superlevel", "sublevel"):
+            got = grid_persistence(vals, direction, 1)
+            want_pairs, want_essential = _oracle_with_ties(vals, direction)
+            assert got.multiset() == want_pairs
+            assert got.essential_birth == want_essential
+
+
 def test_euler_consistency():
     # (#dim-0 alive) - (#dim-1 alive) + essential == V - E + F at every level
     rng = np.random.default_rng(55)
