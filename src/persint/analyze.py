@@ -14,6 +14,7 @@ from .errors import (
     InvalidParameterError,
     InvariantError,
 )
+from .field import _write_rows
 from .seeding import make_rng, pick_index
 
 
@@ -260,9 +261,7 @@ def write_matrix(matrix, path):
     """Plain CSV rows of a numeric matrix at full precision."""
     m = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", newline="") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        _write_rows(fh, np.atleast_2d(m))
 
 
 def read_matrix(path):
@@ -289,8 +288,4 @@ def write_embedding(embedding, path, labels=None):
     with open(path, "w", newline="") as fh:
         cols = ",".join(f"c{i + 1}" for i in range(coords.shape[1]))
         fh.write(f"id,{cols}" + (",label\n" if labels is not None else "\n"))
-        for i, row in enumerate(coords):
-            line = f"{i}," + ",".join(repr(float(v)) for v in row)
-            if labels is not None:
-                line += f",{labels[i]}"
-            fh.write(line + "\n")
+        _write_rows(fh, [[i, *row] for i, row in enumerate(coords.tolist())], labels)

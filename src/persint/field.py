@@ -151,10 +151,21 @@ def write_field(field, path):
         _write_rows(fh, field.values)
 
 
-def _write_rows(fh, values):
-    for row in values:
-        fh.write(",".join(_fmt(v) for v in row))
-        fh.write("\n")
+def _write_rows(fh, rows, labels=None):
+    """Write numeric rows as CSV lines, every value as its ``repr``.
+
+    ``rows`` is a float array or a list of rows of Python ints and floats.
+    A float's ``repr`` is the shortest string that reads back to the same
+    double, so values round-trip exactly. With ``labels``, each line ends
+    with its row's label.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    if labels is None:
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    else:
+        lines = zip(rows, labels, strict=True)
+        fh.writelines(f"{','.join(map(repr, row))},{label}\n" for row, label in lines)
 
 
 def _read_spec_block(reader, path, kinds):

@@ -27,17 +27,17 @@ from .errors import (
 )
 from .field import GridSpec, kde_grid
 from .intensity import (
-    DEFAULT_WEIGHTS,
-    _smooth_points,
     average_intensity,
     default_intensity_spec,
     intensity_at,
-    pair_weights,
+    mean_intensity_values,
+    pooled_pairs,
     smooth_diagram,
+    smooth_pooled,
 )
 from .analyze import l1_distance
 from .persistence import PersistenceDiagram, PersistencePair, compute_persistence
-from .seeding import child_seed, exponential, gauss_pair, make_rng, pick_index, poisson
+from .seeding import TWO_PI, child_seed, make_rng, pick_index, poisson
 from .synth import generate_population
 
 
@@ -238,13 +238,18 @@ def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, lif
     exponential lifetimes. Cheap enough for many-replicate studies."""
 
     def draw(seed):
+        # Three uniforms per pair, in the order of the seeding helpers: a
+        # Box-Muller pair (gauss_pair, first normal only), then an
+        # exponential by inversion (exponential).
         rng = make_rng(seed)
         count = poisson(rng, mean_pairs)
+        u = rng.random(3 * count).tolist()
         pairs = []
-        for _ in range(count):
-            g, _unused = gauss_pair(rng)
+        for k in range(0, 3 * count, 3):
+            g = math.sqrt(-2.0 * math.log(1.0 - u[k])) * math.cos(TWO_PI * u[k + 1])
             birth = birth_center + birth_sd * g
-            pairs.append(PersistencePair(dim, birth, birth + exponential(rng, life_mean)))
+            life = -life_mean * math.log(1.0 - u[k + 2])
+            pairs.append(PersistencePair(dim, birth, birth + life))
         pairs.sort(key=lambda p: (p.dim, p.birth, p.death))
         return PersistenceDiagram(pairs=pairs, direction="superlevel")
 
@@ -384,22 +389,15 @@ def mise_study(
     # Reference seeds: child_seed(seed, 0, i); sweep: child_seed(seed, 1, N_index, rep, i).
     ref_diagrams = [source(child_seed(seed, 0, i)) for i in range(n_ref)]
     spec = default_intensity_spec(ref_diagrams, max(taus), *grid, pad_factor=pad_factor)
-    ref = np.zeros((spec.nx, spec.ny))
-    for d in ref_diagrams:
-        ref += smooth_diagram(d, tau_ref, spec=spec).values
-    ref /= n_ref
+    ref = mean_intensity_values(ref_diagrams, tau_ref, spec)
 
     area = spec.cell_area
     mise = []
     for ni, n_diag in enumerate(n_values):
-        tau = taus[ni]
         total = 0.0
         for rep in range(reps):
-            acc = np.zeros_like(ref)
-            for i in range(n_diag):
-                d = source(child_seed(seed, 1, ni, rep, i))
-                acc += smooth_diagram(d, tau, spec=spec).values
-            acc /= n_diag
+            diagrams = (source(child_seed(seed, 1, ni, rep, i)) for i in range(n_diag))
+            acc = mean_intensity_values(diagrams, taus[ni], spec)
             total += float(((acc - ref) ** 2).sum() * area)
         mise.append(total / reps)
 
@@ -422,10 +420,7 @@ def tau_mise_sweep(source, n_diagrams, taus, reps, seed, n_ref, tau_ref, grid=(6
     taus = tuple(float(t) for t in taus)
     ref_diagrams = [source(child_seed(seed, 0, i)) for i in range(n_ref)]
     spec = default_intensity_spec(ref_diagrams, max(taus), *grid)
-    ref = np.zeros((spec.nx, spec.ny))
-    for d in ref_diagrams:
-        ref += smooth_diagram(d, tau_ref, spec=spec).values
-    ref /= n_ref
+    ref = mean_intensity_values(ref_diagrams, tau_ref, spec)
     area = spec.cell_area
     # The same diagrams are reused across taus (paired comparison), so the
     # curve shape reflects the bandwidth alone.
@@ -435,11 +430,8 @@ def tau_mise_sweep(source, n_diagrams, taus, reps, seed, n_ref, tau_ref, grid=(6
     out = []
     for tau in taus:
         total = 0.0
-        for rep in range(reps):
-            acc = np.zeros_like(ref)
-            for d in rep_diagrams[rep]:
-                acc += smooth_diagram(d, tau, spec=spec).values
-            acc /= n_diagrams
+        for diagrams in rep_diagrams:
+            acc = mean_intensity_values(diagrams, tau, spec)
             total += float(((acc - ref) ** 2).sum() * area)
         out.append(total / reps)
     return out
@@ -507,26 +499,25 @@ def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256
     if not tau_ref > 0:
         raise InvalidParameterError(f"tau_ref must be > 0, got {tau_ref}")
     diagrams = [source(child_seed(seed, i)) for i in range(num_diagrams)]
-    births, deaths, weights = [], [], []
-    for d in diagrams:
-        _, b, dd = d.arrays()
-        births.append(b)
-        deaths.append(dd)
-        weights.append(pair_weights(d, DEFAULT_WEIGHTS) / num_diagrams)
-    births = np.concatenate(births)
-    deaths = np.concatenate(deaths)
-    weights = np.concatenate(weights)
+    births, deaths, weights, _ = pooled_pairs(diagrams)
+    weights /= num_diagrams
     if births.size == 0:
         raise InvalidInputError("diagram process produced no pairs")
     pad = pad_factor * math.hypot(max(taus), tau_ref)
     spec = GridSpec(
         births.min() - pad, births.max() + pad, deaths.min() - pad, deaths.max() + pad, *grid
     )
-    ref = _smooth_points(births, deaths, weights, tau_ref, spec)
+
+    def smoothed(tau):
+        # All pairs form one pooled "diagram".
+        grids, _ = smooth_pooled(births, deaths, weights, [births.size], tau, spec)
+        return grids[0]
+
+    ref = smoothed(tau_ref)
     area = spec.cell_area
     deviations = []
     for tau in taus:
-        vals = _smooth_points(births, deaths, weights, math.hypot(tau_ref, tau), spec)
+        vals = smoothed(math.hypot(tau_ref, tau))
         deviations.append(float(np.abs(vals - ref).sum() * area))
     return BiasScaling(
         taus=taus,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvFormatError, InvalidInputError, InvalidParameterError
+from .field import _write_rows
 
 DIRECTIONS = ("superlevel", "sublevel")
 
@@ -233,8 +234,7 @@ def write_diagram(diagram, path):
     """Write pairs as CSV with header dim,birth,death at full precision."""
     with open(path, "w", newline="") as fh:
         fh.write("dim,birth,death\n")
-        for p in diagram.pairs:
-            fh.write(f"{p.dim},{float(p.birth)!r},{float(p.death)!r}\n")
+        _write_rows(fh, [[int(p.dim), float(p.birth), float(p.death)] for p in diagram.pairs])
 
 
 def read_diagram(path, direction="superlevel"):

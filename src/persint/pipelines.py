@@ -18,10 +18,12 @@ import json
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .analyze import classical_mds, distance_matrix, write_embedding, write_matrix
 from .errors import InvalidParameterError, StageError
-from .field import GridSpec, default_kde_spec, kde_grid, write_field
+from .field import GridSpec, _write_rows, default_kde_spec, kde_grid, write_field
 from .inference import (
     field_diagram_source,
     mise_study,
@@ -199,10 +201,6 @@ def run_fig2(config, out_dir=None):
     return manifest
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
 def run_fig4(config, out_dir=None):
     """Two-sample power sweep over the contamination fraction q."""
     if config.experiment != "fig4":
@@ -227,14 +225,11 @@ def run_fig4(config, out_dir=None):
         with open(out / "curve.csv", "w") as fh:
             cols = ",".join(f"rate_{a}" for a in curve.alphas)
             fh.write(f"q,{cols}\n")
-            for qi, q in enumerate(curve.q_values):
-                rates = ",".join(_fmt(curve.rates[a][qi]) for a in range(len(curve.alphas)))
-                fh.write(f"{_fmt(q)},{rates}\n")
+            _write_rows(fh, np.column_stack([curve.q_values, *curve.rates]))
         st.outputs.append("curve.csv")
         with open(out / "pvalues.csv", "w") as fh:
             fh.write("q,trial,T1,p\n")
-            for q, t, stat, p in curve.records:
-                fh.write(f"{_fmt(q)},{t},{_fmt(stat)},{_fmt(p)}\n")
+            _write_rows(fh, [[float(q), t, float(s), float(p)] for q, t, s, p in curve.records])
         st.outputs.append("pvalues.csv")
     manifest.extras["rates"] = {
         str(a): list(r) for a, r in zip(curve.alphas, curve.rates)
@@ -286,8 +281,8 @@ def run_mise(config, out_dir=None):
         )
         with open(out / "curve.csv", "w") as fh:
             fh.write("N,tau,mise\n")
-            for n_val, tau, mise in zip(curve.n_values, curve.tau_values, curve.mise):
-                fh.write(f"{n_val},{_fmt(tau)},{_fmt(mise)}\n")
+            rows = zip(curve.n_values, curve.tau_values, curve.mise)
+            _write_rows(fh, [[n, float(tau), float(m)] for n, tau, m in rows])
         st.outputs.append("curve.csv")
     manifest.extras["tau_rule"] = curve.tau_rule
     manifest.extras["loglog_slope"] = curve.slope

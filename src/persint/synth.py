@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvFormatError, InvalidInputError, InvalidParameterError
+from .field import _write_rows
 from .seeding import TWO_PI, gauss_pair, make_rng, pick_index
 
 CIRCLE_CENTERS = ((0.0, 0.0),)
@@ -165,8 +166,7 @@ def write_cloud(cloud, path):
     """Write a point cloud as CSV with header x,y at full float precision."""
     with open(path, "w", newline="") as fh:
         fh.write("x,y\n")
-        for px, py in cloud.points:
-            fh.write(f"{float(px)!r},{float(py)!r}\n")
+        _write_rows(fh, cloud.points)
 
 
 def read_cloud(path):

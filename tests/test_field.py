@@ -169,3 +169,29 @@ def test_grid_field_validation():
         GridField(spec, -np.ones((2, 2)), "density")
     with pytest.raises(InvalidParameterError):
         GridField(spec, np.ones((2, 2)), "velocity")
+
+
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 123456789012345.0, 0.1]
+AWKWARD_TEXT = ["-0.0", "5e-324", "1e-05", "1e+16", "123456789012345.0", "0.1"]
+
+
+def test_csv_writers_emit_exact_float_text(tmp_path):
+    from persint.analyze import Embedding, write_embedding, write_matrix
+
+    values = np.array(AWKWARD_FLOATS).reshape(2, 3)
+    field = GridField(GridSpec(0.0, 1.0, 0.0, 1.0, 2, 3), values, "density")
+    write_field(field, tmp_path / "f.csv")
+    rows = (tmp_path / "f.csv").read_text().splitlines()[2:]
+    assert rows == [",".join(AWKWARD_TEXT[:3]), ",".join(AWKWARD_TEXT[3:])]
+    assert rows == [",".join(repr(float(v)) for v in row) for row in values]
+    assert np.array_equal(read_field(tmp_path / "f.csv").values, values)
+
+    write_matrix(values, tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_text().splitlines() == rows
+    write_embedding(Embedding(values.T, "mds"), tmp_path / "e.csv", labels=["a", "b", "c"])
+    assert (tmp_path / "e.csv").read_text().splitlines() == [
+        "id,c1,c2,label",
+        "0,-0.0,1e+16,a",
+        "1,5e-324,123456789012345.0,b",
+        "2,1e-05,0.1,c",
+    ]

@@ -25,9 +25,17 @@ from persint.inference import (
     tau_mise_sweep,
     two_sample_statistic,
 )
-from persint.intensity import IntensityGrid, average_intensity, smooth_diagram
+from persint.intensity import (
+    DEFAULT_WEIGHTS,
+    IntensityGrid,
+    average_intensity,
+    default_intensity_spec,
+    smooth_diagram,
+    weight_eval,
+)
 from persint.analyze import l1_distance
-from persint.seeding import child_seed
+from persint.persistence import PersistenceDiagram, PersistencePair
+from persint.seeding import child_seed, exponential, gauss_pair, make_rng, poisson
 
 SPEC = GridSpec(0, 1, 0, 1, 8, 8)
 
@@ -293,3 +301,113 @@ def test_rank_and_spearman():
     assert spearman([1, 2, 3, 4], [2, 4, 6, 8]) == pytest.approx(1.0)
     assert spearman([1, 2, 3, 4], [8, 6, 4, 2]) == pytest.approx(-1.0)
     assert spearman([1, 2, 3, 4], [5, 5, 5, 5]) == 0.0
+
+
+# Frozen per-diagram versions of the studies: every diagram smoothed on its
+# own by einsum's fixed-order loop and added to a running sum in order. The
+# batched kernel must give the same floats.
+
+
+def _einsum_smooth(births, deaths, weights, tau, spec):
+    if births.size == 0:
+        return np.zeros((spec.nx, spec.ny))
+    root = math.sqrt(2.0 * math.pi)
+    bx = np.exp(-0.5 * ((births[:, None] - spec.xs()[None, :]) / tau) ** 2) / root
+    by = np.exp(-0.5 * ((deaths[:, None] - spec.ys()[None, :]) / tau) ** 2) / root
+    return np.einsum("p,pi,pj->ij", weights, bx, by, optimize=False) / (tau * tau)
+
+
+def _frozen_weights(diagram):
+    return np.array([weight_eval(DEFAULT_WEIGHTS, p.dim, p.lifetime) for p in diagram.pairs])
+
+
+def _frozen_mean(diagrams, tau, spec):
+    acc = np.zeros((spec.nx, spec.ny))
+    for d in diagrams:
+        _, b, dd = d.arrays()
+        acc += _einsum_smooth(b, dd, _frozen_weights(d), tau, spec)
+    acc /= len(diagrams)
+    return acc
+
+
+def _frozen_mise(source, n_values, tau_scale, reps, seed, n_ref, grid):
+    taus = [tau_scale * v ** (-1.0 / 6.0) for v in n_values]
+    ref_diagrams = [source(child_seed(seed, 0, i)) for i in range(n_ref)]
+    spec = default_intensity_spec(ref_diagrams, max(taus), *grid)
+    ref = _frozen_mean(ref_diagrams, 0.5 * min(taus), spec)
+    out = []
+    for ni, n_diag in enumerate(n_values):
+        total = 0.0
+        for rep in range(reps):
+            diagrams = [source(child_seed(seed, 1, ni, rep, i)) for i in range(n_diag)]
+            acc = _frozen_mean(diagrams, taus[ni], spec)
+            total += float(((acc - ref) ** 2).sum() * spec.cell_area)
+        out.append(total / reps)
+    return tuple(out)
+
+
+def test_mise_study_equals_per_diagram_loop():
+    source = synthetic_diagram_source(8.0, birth_center=0.5, birth_sd=0.25, life_mean=0.3)
+    args = dict(n_values=(3, 17, 40), tau_scale=0.12, reps=2, seed=5)
+    curve = mise_study(source, **args, n_ref=90, grid=(40, 36))
+    assert curve.mise == _frozen_mise(source, **args, n_ref=90, grid=(40, 36))
+
+
+def test_tau_mise_sweep_equals_per_diagram_loop():
+    source = synthetic_diagram_source(mean_pairs=6.0, birth_sd=0.12, life_mean=0.2)
+    taus = (0.004, 0.05, 0.8)
+    got = tau_mise_sweep(source, 19, taus, 3, 31, n_ref=60, tau_ref=0.02, grid=(48, 48))
+    ref_diagrams = [source(child_seed(31, 0, i)) for i in range(60)]
+    spec = default_intensity_spec(ref_diagrams, max(taus), 48, 48)
+    ref = _frozen_mean(ref_diagrams, 0.02, spec)
+    want = []
+    for tau in taus:
+        total = 0.0
+        for rep in range(3):
+            diagrams = [source(child_seed(31, 1, rep, i)) for i in range(19)]
+            acc = _frozen_mean(diagrams, tau, spec)
+            total += float(((acc - ref) ** 2).sum() * spec.cell_area)
+        want.append(total / 3)
+    assert got == want
+
+
+def test_bias_scaling_equals_pooled_einsum():
+    source = synthetic_diagram_source(mean_pairs=8.0, birth_sd=0.35, life_mean=0.45)
+    taus, tau_ref, num = (0.04, 0.08, 0.16), 0.15, 60
+    study = bias_scaling_study(source, taus, tau_ref, num, seed=3, grid=(96, 80))
+    diagrams = [source(child_seed(3, i)) for i in range(num)]
+    births = np.concatenate([d.arrays()[1] for d in diagrams])
+    deaths = np.concatenate([d.arrays()[2] for d in diagrams])
+    weights = np.concatenate([_frozen_weights(d) / num for d in diagrams])
+    pad = 4.0 * math.hypot(max(taus), tau_ref)
+    spec = GridSpec(
+        births.min() - pad, births.max() + pad, deaths.min() - pad, deaths.max() + pad, 96, 80
+    )
+    ref = _einsum_smooth(births, deaths, weights, tau_ref, spec)
+    want = []
+    for tau in taus:
+        vals = _einsum_smooth(births, deaths, weights, math.hypot(tau_ref, tau), spec)
+        want.append(float(np.abs(vals - ref).sum() * spec.cell_area))
+    assert study.deviations == tuple(want)
+
+
+def _frozen_synthetic_draw(seed, mean_pairs, birth_center, birth_sd, life_mean, dim=0):
+    rng = make_rng(seed)
+    count = poisson(rng, mean_pairs)
+    pairs = []
+    for _ in range(count):
+        g, _unused = gauss_pair(rng)
+        birth = birth_center + birth_sd * g
+        pairs.append(PersistencePair(dim, birth, birth + exponential(rng, life_mean)))
+    pairs.sort(key=lambda p: (p.dim, p.birth, p.death))
+    return PersistenceDiagram(pairs=pairs, direction="superlevel")
+
+
+def test_synthetic_source_matches_scalar_draws():
+    params = dict(mean_pairs=8.0, birth_center=0.5, birth_sd=0.25, life_mean=0.3)
+    source = synthetic_diagram_source(**params)
+    for s in range(250):
+        seed = child_seed(17, s)
+        got, want = source(seed), _frozen_synthetic_draw(seed, **params)
+        assert got.pairs == want.pairs
+        assert [type(v) for p in got.pairs for v in (p.birth, p.death)] == [float] * (2 * len(want))

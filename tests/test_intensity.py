@@ -14,12 +14,16 @@ from persint.intensity import (
     DEFAULT_WEIGHTS,
     IntensityGrid,
     WeightSpec,
+    _grids_per_chunk,
     average_intensity,
     default_intensity_spec,
     intensity_at,
+    mean_intensity_values,
     pair_sum,
+    pooled_pairs,
     read_intensity,
     smooth_diagram,
+    smooth_pooled,
     weight_eval,
     weight_spec,
     write_intensity,
@@ -183,3 +187,111 @@ def test_intensity_csv_rejects_trailing_data(tmp_path):
 def test_default_intensity_spec_requires_pairs():
     with pytest.raises(InvalidInputError):
         default_intensity_spec([_diag([])], 0.1)
+
+
+def _einsum_reference(diagram, tau, spec, w=DEFAULT_WEIGHTS):
+    """One diagram smoothed by einsum's fixed-order loop: the values the
+    batched kernel must reproduce bit for bit."""
+    if not diagram.pairs:
+        return np.zeros((spec.nx, spec.ny))
+    _, births, deaths = diagram.arrays()
+    wts = np.array([weight_eval(w, p.dim, p.lifetime) for p in diagram.pairs])
+    root = math.sqrt(2.0 * math.pi)
+    bx = np.exp(-0.5 * ((births[:, None] - spec.xs()[None, :]) / tau) ** 2) / root
+    by = np.exp(-0.5 * ((deaths[:, None] - spec.ys()[None, :]) / tau) ** 2) / root
+    return np.einsum("p,pi,pj->ij", wts, bx, by, optimize=False) / (tau * tau)
+
+
+def _random_diagrams(seed, count, max_pairs=12):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(0, max_pairs + 1))
+        births = rng.uniform(0.0, 1.0, size=k)
+        deaths = births + rng.exponential(0.3, size=k)
+        dims = rng.integers(0, 2, size=k)
+        out.append(_diag(zip(dims.tolist(), births.tolist(), deaths.tolist())))
+    return out
+
+
+def _assert_kernel_exact(diagrams, tau, spec, w=DEFAULT_WEIGHTS):
+    grids, slots = smooth_pooled(*pooled_pairs(diagrams, w), tau, spec)
+    grids = grids[slots]
+    assert len(grids) == len(diagrams)
+    for diag, got in zip(diagrams, grids):
+        want = _einsum_reference(diag, tau, spec, w)
+        assert got.tobytes() == want.tobytes()
+        assert smooth_diagram(diag, tau, w=w, spec=spec).values.tobytes() == want.tobytes()
+    # The mean adds the grids in diagram order, as a loop over grids would.
+    acc = np.zeros((spec.nx, spec.ny))
+    for diag in diagrams:
+        acc += _einsum_reference(diag, tau, spec, w)
+    acc /= len(diagrams)
+    assert mean_intensity_values(diagrams, tau, spec, w).tobytes() == acc.tobytes()
+
+
+def test_kernel_bit_exact_on_edge_diagrams():
+    spec = GridSpec(-0.4, 1.3, -0.2, 1.9, 17, 11)
+    diagrams = [
+        _diag([]),
+        _diag([(0, 0.3, 0.7)]),
+        _diag([(0, 0.3, 0.7)] * 3),  # tied pairs
+        _diag([(0, 0.2, 0.5), (0, 0.2, 0.9), (1, 0.2, 0.5)]),  # shared coordinates
+        _diag([(0, 0.4, 0.4), (1, 0.1, 1.2)]),  # zero-length pair
+        _diag([]),
+    ]
+    _assert_kernel_exact(diagrams, 0.09, spec)
+
+
+def test_kernel_bit_exact_with_mixed_dims_and_weights():
+    spec = GridSpec(-0.5, 2.0, -0.5, 2.5, 23, 29)
+    diagrams = _random_diagrams(3, 9)
+    _assert_kernel_exact(diagrams, 0.07, spec, w=weight_spec(g0=0.5, g1=3.0))
+    _assert_kernel_exact(diagrams, 0.07, spec, w=weight_spec(g0=-0.0, g1=3.0))  # -0.0 terms
+    squared = WeightSpec(g=((0, 2.0), (1, 1.5)), L=((1, lambda x: x * x),))
+    _assert_kernel_exact(diagrams, 0.11, spec, w=squared)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_kernel_bit_exact_across_chunk_boundaries(offset):
+    spec = GridSpec(-0.5, 2.0, -0.5, 2.5, 64, 64)
+    chunk = _grids_per_chunk(spec)
+    assert chunk > 1
+    for count in (chunk + offset, 2 * chunk + offset):
+        _assert_kernel_exact(_random_diagrams(10 + count, count), 0.06, spec)
+
+
+def test_kernel_bit_exact_on_128_grids():
+    spec = GridSpec(-0.5, 2.0, -0.5, 2.5, 128, 128)
+    diagrams = _random_diagrams(5, 7, max_pairs=30)
+    diagrams.append(_diag([(d % 2, 0.01 * d, 0.5 + 0.02 * d) for d in range(40)]))
+    _assert_kernel_exact(diagrams, 0.1, spec)
+
+
+def test_pooled_weights_match_weight_eval():
+    diagrams = _random_diagrams(8, 4, max_pairs=20)
+    w = WeightSpec(g=((0, 0.25), (1, 4.0)), L=((0, lambda x: math.sqrt(x)),))
+    for spec_w in (DEFAULT_WEIGHTS, weight_spec(2.0, 0.5), w):
+        births, deaths, weights, counts = pooled_pairs(diagrams, spec_w)
+        pairs = [p for d in diagrams for p in d.pairs]
+        assert births.tolist() == [p.birth for p in pairs]
+        assert deaths.tolist() == [p.death for p in pairs]
+        assert weights.tolist() == [weight_eval(spec_w, p.dim, p.lifetime) for p in pairs]
+        assert counts.tolist() == [len(d) for d in diagrams]
+
+
+def test_default_intensity_spec_bounds_pairs():
+    diagrams = [_diag([(0, 0.3, 0.5), (1, -0.2, 0.1)]), _diag([]), _diag([(0, 0.9, 2.5)])]
+    spec = default_intensity_spec(diagrams, 0.1, 8, 9, pad_factor=2.0)
+    assert (spec.x_lo, spec.x_hi) == (-0.2 - 0.2, 0.9 + 0.2)
+    assert (spec.y_lo, spec.y_hi) == (0.1 - 0.2, 2.5 + 0.2)
+    assert (spec.nx, spec.ny) == (8, 9)
+    assert all(type(v) is float for v in (spec.x_lo, spec.x_hi, spec.y_lo, spec.y_hi))
+
+
+def test_smoothed_grid_holds_only_its_values():
+    # A grid kept by a caller must not pin the kernel's larger work arrays.
+    spec = GridSpec(-0.5, 2.0, -0.5, 2.5, 64, 64)
+    grid = smooth_diagram(_random_diagrams(2, 1, max_pairs=30)[0], 0.1, spec=spec)
+    base = grid.values if grid.values.base is None else grid.values.base
+    assert base.nbytes == grid.values.nbytes
