@@ -37,7 +37,7 @@ from .intensity import (
     write_intensity,
 )
 from .persistence import compute_persistence, read_diagram, write_diagram
-from .pipelines import run_fig2, run_fig4, run_mise
+from .pipelines import run_fig2, run_fig4, run_mise, write_mise_curve, write_power_curve
 from .synth import POPULATIONS, generate_population, read_cloud, write_cloud
 
 
@@ -247,16 +247,12 @@ def _cmd_infer(args):
     config = load_config(args.config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        if args.infer_command == "power":
-            manifest = run_fig4(config, out_dir=tmp)
-        else:
-            manifest = run_mise(config, out_dir=tmp)
-        out.write_bytes((Path(tmp) / "curve.csv").read_bytes())
-        if manifest.extras.get("loglog_slope") is not None:
-            print(f"loglog_slope={manifest.extras['loglog_slope']!r}")
+    if args.infer_command == "power":
+        write_power_curve(config, out)
+        return 0
+    curve = write_mise_curve(config, out)
+    if curve.slope is not None:
+        print(f"loglog_slope={curve.slope!r}")
     return 0
 
 

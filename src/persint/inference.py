@@ -36,7 +36,7 @@ from .intensity import (
     smooth_pooled,
 )
 from .analyze import l1_distance
-from .persistence import PersistenceDiagram, PersistencePair, compute_persistence
+from .persistence import PersistenceDiagram, compute_persistence
 from .seeding import TWO_PI, child_seed, make_rng, pick_index, poisson
 from .synth import generate_population
 
@@ -244,14 +244,15 @@ def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, lif
         rng = make_rng(seed)
         count = poisson(rng, mean_pairs)
         u = rng.random(3 * count).tolist()
-        pairs = []
+        points = []
         for k in range(0, 3 * count, 3):
             g = math.sqrt(-2.0 * math.log(1.0 - u[k])) * math.cos(TWO_PI * u[k + 1])
             birth = birth_center + birth_sd * g
             life = -life_mean * math.log(1.0 - u[k + 2])
-            pairs.append(PersistencePair(dim, birth, birth + life))
-        pairs.sort(key=lambda p: (p.dim, p.birth, p.death))
-        return PersistenceDiagram(pairs=pairs, direction="superlevel")
+            points.append((birth, birth + life))
+        points.sort()
+        births, deaths = np.array(points).reshape(count, 2).T
+        return PersistenceDiagram(np.full(count, dim), births, deaths, direction="superlevel")
 
     return draw
 
@@ -465,11 +466,11 @@ def normality_check(source, N, tau, node, reps, seed):
     pt = np.asarray([node], dtype=np.float64)
     vals = np.empty(reps)
     for r in range(reps):
-        acc = 0.0
-        for i in range(N):
-            # replicate seeds: child_seed(seed, r, i)
-            acc += float(intensity_at(source(child_seed(seed, r, i)), tau, pt)[0])
-        vals[r] = acc / N
+        # replicate seeds: child_seed(seed, r, i). The intensity is linear in the
+        # pairs, so the mean of N intensities is that of their pooled pairs over N.
+        arrays = zip(*(source(child_seed(seed, r, i)).arrays() for i in range(N)))
+        pooled = PersistenceDiagram(*map(np.concatenate, arrays))
+        vals[r] = intensity_at(pooled, tau, pt)[0] / N
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1))
     if sd <= 1e-9 * abs(mean):

@@ -2,8 +2,9 @@
 
 A diagram is turned into a nonnegative function on the (birth, death)
 plane: each pair contributes its weight times a product-Gaussian bump of
-bandwidth tau, ``w_j * tau^-2 * K((x-b_j)/tau) * K((y-d_j)/tau)``. Weights
-default to the lifetime, which suppresses near-diagonal features, so no
+bandwidth tau, ``w_j * tau^-2 * K((x-b_j)/tau) * K((y-d_j)/tau)``. The
+weight is the lifetime times a multiplier per dimension, g0 or g1
+(:class:`WeightSpec`), which suppresses near-diagonal features, so no
 boundary correction is applied at the diagonal. Intensities of several
 diagrams are compared and averaged pointwise on a shared grid.
 
@@ -31,76 +32,55 @@ from .errors import (
     InvalidParameterError,
 )
 from .field import GridSpec, _fmt, _read_rows, _read_spec_block, _write_rows
+from .persistence import PersistenceDiagram
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Pair weight w = g(dim) * L_dim(lifetime); L defaults to the identity.
+    """Pair weight w = g(dim) * lifetime.
 
     ``g`` maps a homology dimension to a nonnegative multiplier (missing
-    dimensions default to 1). ``L`` optionally maps a dimension to a
-    monotone lifetime transform with L(0) = 0.
+    dimensions default to 1).
     """
 
     g: tuple = ((0, 1.0), (1, 1.0))
-    L: tuple = ()
 
     def __post_init__(self):
         g = tuple(sorted((int(d), float(v)) for d, v in dict(self.g).items()))
         for d, v in g:
             if not (math.isfinite(v) and v >= 0):
                 raise InvalidParameterError(f"g({d}) must be finite and >= 0, got {v}")
-        L = tuple(sorted(dict(self.L).items()))
-        for d, fn in L:
-            if fn(0.0) != 0.0:
-                raise InvalidParameterError(f"L for dim {d} must satisfy L(0) = 0")
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "L", L)
 
     def g_of(self, dim):
         return dict(self.g).get(int(dim), 1.0)
-
-    def L_of(self, dim):
-        return dict(self.L).get(int(dim))
 
 
 DEFAULT_WEIGHTS = WeightSpec()
 
 
 def weight_spec(g0=1.0, g1=1.0):
-    """WeightSpec with per-dimension multipliers and identity lifetime map."""
+    """WeightSpec with multipliers g0 and g1 for dims 0 and 1."""
     return WeightSpec(g=((0, g0), (1, g1)))
 
 
 def weight_eval(w, dim, lifetime):
-    """Evaluate g(dim) * L_dim(lifetime)."""
+    """Evaluate g(dim) * lifetime."""
     if lifetime < 0:
         raise InvalidInputError(f"lifetime must be >= 0, got {lifetime}")
-    fn = w.L_of(dim)
-    transformed = lifetime if fn is None else fn(lifetime)
-    return w.g_of(dim) * transformed
-
-
-def _pair_coords(diagrams):
-    births = np.fromiter((p.birth for d in diagrams for p in d.pairs), np.float64)
-    deaths = np.fromiter((p.death for d in diagrams for p in d.pairs), np.float64)
-    return births, deaths
+    return w.g_of(dim) * lifetime
 
 
 def pooled_pairs(diagrams, w=DEFAULT_WEIGHTS):
     """Births, deaths and weights of all pairs of the diagrams, concatenated
     in stored order, plus each diagram's pair count."""
-    births, deaths = _pair_coords(diagrams)
-    dims = np.fromiter((p.dim for d in diagrams for p in d.pairs), np.int64)
-    counts = np.fromiter((len(d.pairs) for d in diagrams), np.int64)
+    # An empty diagram's arrays come first, so that no diagrams give empty arrays.
+    columns = zip(PersistenceDiagram().arrays(), *(d.arrays() for d in diagrams))
+    dims, births, deaths = (np.concatenate(c) for c in columns)
+    counts = np.array([len(d) for d in diagrams], dtype=np.int64)
     weights = deaths - births  # the lifetimes, weighted in place below
-    if (weights < 0).any():
-        raise InvalidInputError(f"lifetime must be >= 0, got {weights[weights < 0][0]}")
-    for d, fn in w.L:
-        sel = dims == d
-        weights[sel] = [fn(v) for v in weights[sel].tolist()]
     for d, v in w.g:
         weights[dims == d] *= v
     return births, deaths, weights, counts
@@ -147,7 +127,7 @@ class IntensityGrid:
 
 def default_intensity_spec(diagrams, tau, nx=128, ny=128, pad_factor=4.0):
     """Grid covering the bounding box of all pairs, expanded by pad_factor*tau."""
-    births, deaths = _pair_coords(diagrams)
+    births, deaths, _, _ = pooled_pairs(diagrams)
     if not births.size:
         raise InvalidInputError("cannot derive intensity bounds: no pairs in any diagram")
     pad = pad_factor * tau
@@ -277,8 +257,10 @@ def intensity_at(diagram, tau, points, w=DEFAULT_WEIGHTS):
 
 
 def pair_sum(diagram, fn, w=DEFAULT_WEIGHTS):
-    """Weighted sum of fn over the diagram's points: sum_j w_j fn(b_j, d_j)."""
-    return float(sum(weight_eval(w, p.dim, p.lifetime) * fn(p.birth, p.death) for p in diagram.pairs))
+    """Weighted sum of fn over the diagram's points, sum_j w_j fn(b_j, d_j), in stored order."""
+    births, deaths, weights, _ = pooled_pairs([diagram], w)
+    terms = zip(weights.tolist(), births.tolist(), deaths.tolist())
+    return float(sum(wt * fn(b, d) for wt, b, d in terms))
 
 
 def integrate_against(grid, fn):
@@ -308,8 +290,6 @@ def average_intensity(grids):
 
 def write_intensity(grid, path):
     """Write an intensity grid: spec block, tau/weight block, row-major values."""
-    if grid.weights.L:
-        raise InvalidInputError("intensity CSV covers identity lifetime weights only")
     with open(path, "w", newline="") as fh:
         fh.write("kind,x_lo,x_hi,y_lo,y_hi,nx,ny\n")
         s = grid.spec

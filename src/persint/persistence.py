@@ -16,10 +16,14 @@ are the primal edges (Garin et al., "Duality in persistent homology of
 images", arXiv:2005.04597; de Silva, Morozov, Vejdemo-Johansson,
 "Dualities in persistent (co)homology", arXiv:1107.5665). A dual merge
 pairs the killing edge (birth) with the younger square (death).
+
+A :class:`PersistenceDiagram` stores its pairs as three arrays, dims, births
+and deaths; :class:`PersistencePair` tuples are only a row view of them.
 """
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +33,7 @@ from .field import _write_rows
 DIRECTIONS = ("superlevel", "sublevel")
 
 
-@dataclass(frozen=True)
-class PersistencePair:
+class PersistencePair(NamedTuple):
     """One finite topological feature: (dim, birth, death) with death >= birth."""
 
     dim: int
@@ -42,41 +45,51 @@ class PersistencePair:
         return self.death - self.birth
 
 
-@dataclass
+@dataclass(eq=False)
 class PersistenceDiagram:
-    """Finite multiset of persistence pairs plus provenance metadata."""
+    """Finite multiset of persistence pairs, pair k being (dims[k], births[k], deaths[k]):
+    int64 dims and float64 births and deaths of one length, no death below its birth."""
 
-    pairs: list
+    dims: np.ndarray = ()
+    births: np.ndarray = ()
+    deaths: np.ndarray = ()
     direction: str = "superlevel"
     essential_birth: float | None = None
-    grid_spec: object = None
-    field_kind: str | None = None
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise InvalidParameterError(
                 f"direction must be one of {DIRECTIONS}, got {self.direction!r}"
             )
-        for p in self.pairs:
-            if p.death < p.birth:
-                raise InvalidInputError(f"pair {p} lies below the diagonal")
+        self.dims = np.asarray(self.dims, dtype=np.int64)
+        self.births = np.asarray(self.births, dtype=np.float64)
+        self.deaths = np.asarray(self.deaths, dtype=np.float64)
+        if self.dims.ndim != 1 or not (self.dims.shape == self.births.shape == self.deaths.shape):
+            raise InvalidInputError("dims, births and deaths must be 1D arrays of one length")
+        below = self.deaths < self.births
+        if below.any():
+            raise InvalidInputError(f"pair {self.pairs[below.argmax()]} lies below the diagonal")
+
+    @classmethod
+    def from_pairs(cls, triples, **meta):
+        """Diagram of an iterable of (dim, birth, death) rows, in that order."""
+        return cls(*zip(*triples), **meta)
 
     def __len__(self):
-        return len(self.pairs)
+        return self.births.size
 
-    def select(self, dim):
-        return [p for p in self.pairs if p.dim == dim]
+    @property
+    def pairs(self):
+        """The pairs in stored order, as a new list of :class:`PersistencePair`."""
+        return list(map(PersistencePair, *(a.tolist() for a in self.arrays())))
 
     def arrays(self):
-        """(dims, births, deaths) as float arrays, in stored order."""
-        dims = np.array([p.dim for p in self.pairs], dtype=np.int64)
-        births = np.array([p.birth for p in self.pairs], dtype=np.float64)
-        deaths = np.array([p.death for p in self.pairs], dtype=np.float64)
-        return dims, births, deaths
+        """The stored (dims, births, deaths) arrays."""
+        return self.dims, self.births, self.deaths
 
     def multiset(self):
         """Sorted tuple view, convenient for exact comparisons."""
-        return tuple(sorted((p.dim, p.birth, p.death) for p in self.pairs))
+        return tuple(sorted(self.pairs))
 
 
 def _elder_merge(node_key, edge_a, edge_b, edge_key):
@@ -215,31 +228,24 @@ def grid_persistence(values, direction="superlevel", max_dim=1):
     else:
         dims, births, deaths, essential = _sublevel_pairs(vals, max_dim)
     order = np.lexsort((deaths, births, dims))
-    pairs = [
-        PersistencePair(d, b, dd)
-        for d, b, dd in zip(dims[order].tolist(), births[order].tolist(), deaths[order].tolist())
-    ]
-    return PersistenceDiagram(pairs=pairs, direction=direction, essential_birth=essential)
+    return PersistenceDiagram(dims[order], births[order], deaths[order], direction, essential)
 
 
 def compute_persistence(field, direction="superlevel", max_dim=1):
     """Persistence diagram of a GridField; see :func:`grid_persistence`."""
-    diagram = grid_persistence(field.values, direction, max_dim)
-    diagram.grid_spec = field.spec
-    diagram.field_kind = field.kind
-    return diagram
+    return grid_persistence(field.values, direction, max_dim)
 
 
 def write_diagram(diagram, path):
     """Write pairs as CSV with header dim,birth,death at full precision."""
     with open(path, "w", newline="") as fh:
         fh.write("dim,birth,death\n")
-        _write_rows(fh, [[int(p.dim), float(p.birth), float(p.death)] for p in diagram.pairs])
+        _write_rows(fh, zip(*(a.tolist() for a in diagram.arrays())))
 
 
 def read_diagram(path, direction="superlevel"):
     """Read a diagram written by :func:`write_diagram`."""
-    pairs = []
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -264,5 +270,5 @@ def read_diagram(path, direction="superlevel"):
                 )
             if not (np.isfinite(birth) and np.isfinite(death)):
                 raise CsvFormatError(path, lineno, "birth/death must be finite")
-            pairs.append(PersistencePair(dim, birth, death))
-    return PersistenceDiagram(pairs=pairs, direction=direction)
+            rows.append((dim, birth, death))
+    return PersistenceDiagram.from_pairs(rows, direction=direction)

@@ -94,6 +94,11 @@ class _StageTimer:
         return False
 
 
+def _expect_experiment(config, name):
+    if config.experiment != name:
+        raise InvalidParameterError(f"config experiment is {config.experiment!r}, expected {name!r}")
+
+
 def _resolve_out_dir(config, out_dir):
     from pathlib import Path
 
@@ -122,8 +127,7 @@ def run_fig2(config, out_dir=None):
     persistence -> smoothed intensity; then the pairwise L1 distance matrix
     and a 2D classical MDS embedding, written with population labels.
     """
-    if config.experiment != "fig2":
-        raise InvalidParameterError(f"config experiment is {config.experiment!r}, expected 'fig2'")
+    _expect_experiment(config, "fig2")
     out = _resolve_out_dir(config, out_dir)
     manifest = _new_manifest(config)
     master = config.master_seed()
@@ -201,31 +205,37 @@ def run_fig2(config, out_dir=None):
     return manifest
 
 
+def write_power_curve(config, path):
+    """Run a fig4 config's power sweep, write its curve.csv to ``path``, return it."""
+    _expect_experiment(config, "fig4")
+    curve = power_study(
+        q_values=config.q_values,
+        n=config.n,
+        N=config.N,
+        h=config.h,
+        tau=config.tau,
+        B=config.B,
+        trials=config.trials,
+        seed=config.master_seed(),
+        alphas=tuple(config.alphas),
+        field_grid=tuple(config.field_grid),
+        intensity_grid=tuple(config.intensity_grid),
+        threads=config.threads,
+    )
+    with open(path, "w") as fh:
+        cols = ",".join(f"rate_{a}" for a in curve.alphas)
+        fh.write(f"q,{cols}\n")
+        _write_rows(fh, np.column_stack([curve.q_values, *curve.rates]))
+    return curve
+
+
 def run_fig4(config, out_dir=None):
     """Two-sample power sweep over the contamination fraction q."""
-    if config.experiment != "fig4":
-        raise InvalidParameterError(f"config experiment is {config.experiment!r}, expected 'fig4'")
+    _expect_experiment(config, "fig4")
     out = _resolve_out_dir(config, out_dir)
     manifest = _new_manifest(config)
     with _StageTimer(manifest, "power", {"q_values": config.q_values}) as st:
-        curve = power_study(
-            q_values=config.q_values,
-            n=config.n,
-            N=config.N,
-            h=config.h,
-            tau=config.tau,
-            B=config.B,
-            trials=config.trials,
-            seed=config.master_seed(),
-            alphas=tuple(config.alphas),
-            field_grid=tuple(config.field_grid),
-            intensity_grid=tuple(config.intensity_grid),
-            threads=config.threads,
-        )
-        with open(out / "curve.csv", "w") as fh:
-            cols = ",".join(f"rate_{a}" for a in curve.alphas)
-            fh.write(f"q,{cols}\n")
-            _write_rows(fh, np.column_stack([curve.q_values, *curve.rates]))
+        curve = write_power_curve(config, out / "curve.csv")
         st.outputs.append("curve.csv")
         with open(out / "pvalues.csv", "w") as fh:
             fh.write("q,trial,T1,p\n")
@@ -263,26 +273,32 @@ def make_generator(spec_dict):
     raise InvalidParameterError(f"unknown generator kind {kind!r}")
 
 
+def write_mise_curve(config, path):
+    """Run a mise config's MISE sweep, write its curve.csv to ``path``, return it."""
+    _expect_experiment(config, "mise")
+    curve = mise_study(
+        source=make_generator(config.generator),
+        n_values=config.N_values,
+        tau_scale=config.tau_scale,
+        reps=config.reps,
+        seed=config.master_seed(),
+        n_ref=config.N_ref,
+        tau_ref=config.tau_ref,
+    )
+    with open(path, "w") as fh:
+        fh.write("N,tau,mise\n")
+        rows = zip(curve.n_values, curve.tau_values, curve.mise)
+        _write_rows(fh, [[n, float(tau), float(m)] for n, tau, m in rows])
+    return curve
+
+
 def run_mise(config, out_dir=None):
     """Bandwidth-rate study: integrated squared error vs diagram count."""
-    if config.experiment != "mise":
-        raise InvalidParameterError(f"config experiment is {config.experiment!r}, expected 'mise'")
+    _expect_experiment(config, "mise")
     out = _resolve_out_dir(config, out_dir)
     manifest = _new_manifest(config)
     with _StageTimer(manifest, "mise", {"N_values": config.N_values}) as st:
-        curve = mise_study(
-            source=make_generator(config.generator),
-            n_values=config.N_values,
-            tau_scale=config.tau_scale,
-            reps=config.reps,
-            seed=config.master_seed(),
-            n_ref=config.N_ref,
-            tau_ref=config.tau_ref,
-        )
-        with open(out / "curve.csv", "w") as fh:
-            fh.write("N,tau,mise\n")
-            rows = zip(curve.n_values, curve.tau_values, curve.mise)
-            _write_rows(fh, [[n, float(tau), float(m)] for n, tau, m in rows])
+        curve = write_mise_curve(config, out / "curve.csv")
         st.outputs.append("curve.csv")
     manifest.extras["tau_rule"] = curve.tau_rule
     manifest.extras["loglog_slope"] = curve.slope

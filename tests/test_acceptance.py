@@ -30,7 +30,7 @@ from persint.intensity import (
     pair_sum,
     smooth_diagram,
 )
-from persint.persistence import PersistenceDiagram, PersistencePair, grid_persistence
+from persint.persistence import PersistenceDiagram, grid_persistence
 from persint.pipelines import run_fig2
 from persint.seeding import child_seed, make_rng
 
@@ -65,8 +65,8 @@ def test_c02_intensity_mass_conservation():
         births = rng.uniform(0.0, 1.0, size=count)
         lifetimes = rng.uniform(0.01, 0.6, size=count)
         tau = float(rng.uniform(0.02, 0.12))
-        diag = PersistenceDiagram(
-            pairs=[PersistencePair(0, float(b), float(b + l)) for b, l in zip(births, lifetimes)]
+        diag = PersistenceDiagram.from_pairs(
+            (0, float(b), float(b + l)) for b, l in zip(births, lifetimes)
         )
         spec = default_intensity_spec([diag], tau, 192, 192, pad_factor=6.0)
         mass = smooth_diagram(diag, tau, spec=spec).mass()

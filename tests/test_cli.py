@@ -1,5 +1,6 @@
 import json
 import numpy as np
+import pytest
 
 from persint.analyze import read_matrix
 from persint.cli import main
@@ -310,6 +311,40 @@ def test_infer_power_and_mise_cli(tmp_path, capsys):
     assert main(["infer", "mise", "--config", str(mise_cfg), "--out", str(curve2)]) == 0
     assert curve2.read_text().splitlines()[0] == "N,tau,mise"
     assert "loglog_slope=" in capsys.readouterr().out
+
+
+POWER_TINY = {
+    "experiment": "fig4",
+    "seed": 3,
+    "n": 40,
+    "N": 3,
+    "h": 0.15,
+    "tau": 0.05,
+    "q_values": [0.0, 0.5],
+    "B": 9,
+    "trials": 2,
+    "field_grid": [16, 16],
+    "intensity_grid": [16, 16],
+}
+MISE_TINY = {
+    "experiment": "mise",
+    "seed": 4,
+    "N_values": [2, 4],
+    "tau_scale": 0.15,
+    "reps": 1,
+    "N_ref": 12,
+    "generator": {"kind": "synthetic"},
+}
+
+
+@pytest.mark.parametrize(("command", "payload"), [("power", POWER_TINY), ("mise", MISE_TINY)])
+def test_infer_curve_equals_run_recipe_curve(tmp_path, command, payload):
+    cfg = _write_config(tmp_path, payload)
+    curve = tmp_path / "infer.csv"
+    assert main(["infer", command, "--config", str(cfg), "--out", str(curve)]) == 0
+    run_dir = tmp_path / "run"
+    assert main(["--out-dir", str(run_dir), "run", payload["experiment"], "--config", str(cfg)]) == 0
+    assert curve.read_bytes() == (run_dir / "curve.csv").read_bytes()
 
 
 def test_validate_cli(tmp_path, capsys):

@@ -247,9 +247,7 @@ def test_normality_ks_shrinks_with_averaging():
 
 
 def test_normality_degenerate_source():
-    from persint.persistence import PersistenceDiagram, PersistencePair
-
-    fixed = PersistenceDiagram(pairs=[PersistencePair(0, 0.4, 0.8)])
+    fixed = PersistenceDiagram.from_pairs([(0, 0.4, 0.8)])
     with pytest.raises(DegenerateStatisticError):
         normality_check(lambda seed: fixed, N=3, tau=0.1, node=(0.4, 0.8), reps=100, seed=1)
 
@@ -400,7 +398,7 @@ def _frozen_synthetic_draw(seed, mean_pairs, birth_center, birth_sd, life_mean, 
         birth = birth_center + birth_sd * g
         pairs.append(PersistencePair(dim, birth, birth + exponential(rng, life_mean)))
     pairs.sort(key=lambda p: (p.dim, p.birth, p.death))
-    return PersistenceDiagram(pairs=pairs, direction="superlevel")
+    return PersistenceDiagram.from_pairs(pairs, direction="superlevel")
 
 
 def test_synthetic_source_matches_scalar_draws():

@@ -28,11 +28,11 @@ from persint.intensity import (
     weight_spec,
     write_intensity,
 )
-from persint.persistence import PersistenceDiagram, PersistencePair
+from persint.persistence import PersistenceDiagram
 
 
 def _diag(pairs):
-    return PersistenceDiagram(pairs=[PersistencePair(*p) for p in pairs])
+    return PersistenceDiagram.from_pairs(pairs)
 
 
 def test_weight_eval_examples():
@@ -47,12 +47,6 @@ def test_weight_eval_examples():
 def test_weight_spec_validation():
     with pytest.raises(InvalidParameterError):
         WeightSpec(g=((0, -1.0),))
-    with pytest.raises(InvalidParameterError):
-        WeightSpec(L=((0, lambda x: x + 1.0),))
-    # a legal non-identity lifetime transform
-    w = WeightSpec(L=((0, lambda x: x * x),))
-    assert weight_eval(w, 0, 2.0) == 4.0
-    assert weight_eval(w, 1, 2.0) == 2.0  # dim 1 falls back to identity
 
 
 def test_empty_diagram_zero_grid():
@@ -248,8 +242,6 @@ def test_kernel_bit_exact_with_mixed_dims_and_weights():
     diagrams = _random_diagrams(3, 9)
     _assert_kernel_exact(diagrams, 0.07, spec, w=weight_spec(g0=0.5, g1=3.0))
     _assert_kernel_exact(diagrams, 0.07, spec, w=weight_spec(g0=-0.0, g1=3.0))  # -0.0 terms
-    squared = WeightSpec(g=((0, 2.0), (1, 1.5)), L=((1, lambda x: x * x),))
-    _assert_kernel_exact(diagrams, 0.11, spec, w=squared)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -270,7 +262,7 @@ def test_kernel_bit_exact_on_128_grids():
 
 def test_pooled_weights_match_weight_eval():
     diagrams = _random_diagrams(8, 4, max_pairs=20)
-    w = WeightSpec(g=((0, 0.25), (1, 4.0)), L=((0, lambda x: math.sqrt(x)),))
+    w = WeightSpec(g=((0, 0.25), (1, 4.0)))
     for spec_w in (DEFAULT_WEIGHTS, weight_spec(2.0, 0.5), w):
         births, deaths, weights, counts = pooled_pairs(diagrams, spec_w)
         pairs = [p for d in diagrams for p in d.pairs]
