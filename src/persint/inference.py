@@ -12,6 +12,13 @@ Permutation protocol: the pooled grids are put into a canonical order
 min(n1, n2) slots to one group. With the statistic symmetric in its
 arguments, the reported p-value is therefore invariant to swapping the two
 input groups under the same seed.
+
+The observed, permuted and bootstrap statistics come from one kernel that
+sums each group's grids in this canonical order, so the statistic is a
+function of the partition alone. Floating-point sums depend on their order:
+summed in input order, a relisted group could change T1, and a permutation
+that redraws the observed partition could fall a rounding step below it and
+not count as a tie. In canonical order both are exact.
 """
 
 import math
@@ -21,13 +28,13 @@ import numpy as np
 
 from .errors import (
     DegenerateStatisticError,
+    IncompatibleGridsError,
     InvalidInputError,
     InvalidParameterError,
     StageError,
 )
 from .field import GridSpec, kde_grid
 from .intensity import (
-    average_intensity,
     default_intensity_spec,
     intensity_at,
     mean_intensity_values,
@@ -35,9 +42,8 @@ from .intensity import (
     smooth_diagram,
     smooth_pooled,
 )
-from .analyze import l1_distance
 from .persistence import PersistenceDiagram, compute_persistence
-from .seeding import TWO_PI, child_seed, make_rng, pick_index, poisson
+from .seeding import TWO_PI, child_seed, make_rng, pick_indices, poisson
 from .synth import generate_population
 
 
@@ -108,17 +114,38 @@ class BiasScaling:
     slope: float
 
 
-def two_sample_statistic(group1, group2):
-    """L1 distance between the two groups' average intensities."""
+def _canonical_rows(group1, group2):
+    """Flattened grids in canonical order, each group's rows in input order, cell area."""
     group1, group2 = list(group1), list(group2)
     if not group1 or not group2:
         raise InvalidInputError("both groups must be nonempty")
-    return l1_distance(average_intensity(group1), average_intensity(group2))
+    pooled = group1 + group2
+    head = pooled[0]
+    if not all(head.compatible_with(g) for g in pooled[1:]):
+        raise IncompatibleGridsError("intensity grids differ in spec, tau, or weights")
+    order = sorted(range(len(pooled)), key=lambda k: pooled[k].values.tobytes())
+    stack = np.stack([pooled[k].values.ravel() for k in order])
+    rows = np.empty(len(pooled), dtype=np.int64)
+    rows[order] = np.arange(len(pooled))
+    return stack, rows[: len(group1)], rows[len(group1) :], head.spec.cell_area
+
+
+def _mean_gap(stack, rows1, rows2, area):
+    """Cell area times the L1 distance of two row sets' means, each summed in row order."""
+    m1 = stack[np.sort(rows1)].mean(axis=0)
+    m2 = stack[np.sort(rows2)].mean(axis=0)
+    return float(np.abs(m1 - m2).sum() * area)
+
+
+def two_sample_statistic(group1, group2):
+    """L1 distance between the two groups' average intensities."""
+    return _mean_gap(*_canonical_rows(group1, group2))
 
 
 def _fisher_yates(rng, idx):
-    for i in range(len(idx) - 1, 0, -1):
-        j = pick_index(rng, i + 1)
+    # Slot i swaps with one of slots 0..i, for i from the last slot down to 1.
+    swaps = pick_indices(rng, range(len(idx), 1, -1)).tolist()
+    for i, j in zip(range(len(idx) - 1, 0, -1), swaps):
         idx[i], idx[j] = idx[j], idx[i]
 
 
@@ -133,35 +160,24 @@ def permutation_test(group1, group2, B, seed, keep_null=False):
     B = int(B)
     if B < 1:
         raise InvalidParameterError(f"need B >= 1 permutations, got {B}")
-    group1, group2 = list(group1), list(group2)
-    observed = two_sample_statistic(group1, group2)
-
-    pooled = sorted(group1 + group2, key=lambda g: g.values.tobytes())
-    stack = np.stack([g.values.ravel() for g in pooled])
-    area = pooled[0].spec.cell_area
-    n_small = min(len(group1), len(group2))
+    stack, rows1, rows2, area = _canonical_rows(group1, group2)
+    observed = _mean_gap(stack, rows1, rows2, area)
+    n_small = min(rows1.size, rows2.size)
 
     rng = make_rng(seed)
-    idx = list(range(len(pooled)))
-    exceed = 0
+    idx = list(range(len(stack)))
     null_stats = []
     for _ in range(B):
         _fisher_yates(rng, idx)
-        m1 = stack[idx[:n_small]].mean(axis=0)
-        m2 = stack[idx[n_small:]].mean(axis=0)
-        stat = float(np.abs(m1 - m2).sum() * area)
-        if keep_null:
-            null_stats.append(stat)
-        if stat >= observed:
-            exceed += 1
+        null_stats.append(_mean_gap(stack, idx[:n_small], idx[n_small:], area))
     return TestResult(
         statistic=observed,
-        p_value=(1 + exceed) / (B + 1),
+        p_value=(1 + sum(stat >= observed for stat in null_stats)) / (B + 1),
         permutations=B,
         seed=int(seed),
-        n1=len(group1),
-        n2=len(group2),
-        null_stats=tuple(null_stats),
+        n1=rows1.size,
+        n2=rows2.size,
+        null_stats=tuple(null_stats) if keep_null else (),
     )
 
 
@@ -174,21 +190,18 @@ def bootstrap_zscore(group1, group2, B, seed):
     B = int(B)
     if B < 2:
         raise InvalidParameterError(f"need B >= 2 bootstrap draws, got {B}")
-    group1, group2 = list(group1), list(group2)
-    observed = two_sample_statistic(group1, group2)
-    stack1 = np.stack([g.values.ravel() for g in group1])
-    stack2 = np.stack([g.values.ravel() for g in group2])
-    area = group1[0].spec.cell_area
+    stack, rows1, rows2, area = _canonical_rows(group1, group2)
     rng = make_rng(seed)
-    stats = np.empty(B)
-    for b in range(B):
-        i1 = [pick_index(rng, len(group1)) for _ in range(len(group1))]
-        i2 = [pick_index(rng, len(group2)) for _ in range(len(group2))]
-        stats[b] = np.abs(stack1[i1].mean(axis=0) - stack2[i2].mean(axis=0)).sum() * area
-    sd = float(stats.std(ddof=1))
+
+    def resample(rows):
+        return rows[pick_indices(rng, [rows.size] * rows.size)]
+
+    # Each resample draws group 1's indices, then group 2's.
+    stats = [_mean_gap(stack, resample(rows1), resample(rows2), area) for _ in range(B)]
+    sd = float(np.std(stats, ddof=1))
     if sd == 0.0:
         raise DegenerateStatisticError("bootstrap variance of the statistic is zero")
-    return float(observed / sd)
+    return float(_mean_gap(stack, rows1, rows2, area) / sd)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Child-seed paths used here:
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,20 @@ class RunManifest:
     stages: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def add_stage(self, name, outputs, seconds):
-        self.stages.append(
-            {"name": name, "outputs": [str(p) for p in outputs], "seconds": seconds}
-        )
+    @contextmanager
+    def stage(self, name, params):
+        """Run one named stage: yield its output list, then record it with its
+        wall time, or re-raise the stage's error as a StageError."""
+        outputs = []
+        start = time.perf_counter()
+        try:
+            yield outputs
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError(name, params, exc) from exc
+        seconds = time.perf_counter() - start
+        self.stages.append({"name": name, "outputs": list(map(str, outputs)), "seconds": seconds})
 
     def output_files(self):
         return [p for s in self.stages for p in s["outputs"]]
@@ -70,28 +81,6 @@ class RunManifest:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-class _StageTimer:
-    """Runs one named stage, recording outputs and wall time in the manifest."""
-
-    def __init__(self, manifest, name, params):
-        self.manifest = manifest
-        self.name = name
-        self.params = params
-        self.outputs = []
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None:
-            if isinstance(exc, StageError):
-                return False
-            raise StageError(self.name, self.params, exc) from exc
-        self.manifest.add_stage(self.name, self.outputs, time.perf_counter() - self._start)
-        return False
 
 
 def _expect_experiment(config, name):
@@ -134,72 +123,59 @@ def run_fig2(config, out_dir=None):
     weights = weight_spec(config.g0, config.g1)
     save = config.save_intermediates
 
-    clouds, labels = [], []
-    with _StageTimer(manifest, "synth", {"n": config.n, "N": config.N}) as st:
-        if save:
-            (out / "clouds").mkdir(exist_ok=True)
-        for pi, pop in enumerate(FIG2_POPULATIONS):
-            for i in range(config.N):
-                cloud = generate_population(pop, config.n, child_seed(master, 10, pi, i))
-                clouds.append(cloud)
-                labels.append(pop)
-                if save:
-                    path = out / "clouds" / f"{pop}_{i:03d}.csv"
-                    write_cloud(cloud, path)
-                    st.outputs.append(path.relative_to(out))
+    labels = [pop for pop in FIG2_POPULATIONS for _ in range(config.N)]
+    stems = [f"{pop}_{i:03d}" for pop in FIG2_POPULATIONS for i in range(config.N)]
 
-    fields = []
-    with _StageTimer(manifest, "field", {"h": config.h, "grid": config.field_grid}) as st:
-        if save:
-            (out / "fields").mkdir(exist_ok=True)
+    def sample(_):
+        return [
+            generate_population(pop, config.n, child_seed(master, 10, pi, i))
+            for pi, pop in enumerate(FIG2_POPULATIONS)
+            for i in range(config.N)
+        ]
+
+    def estimate(clouds):
         nx, ny = config.field_grid
-        for idx, cloud in enumerate(clouds):
-            if config.field_bounds is not None:
-                spec = GridSpec(*config.field_bounds, nx, ny)
-            else:
-                spec = default_kde_spec(cloud, config.h, nx, ny)
-            fld = kde_grid(cloud, config.h, spec)
-            fields.append(fld)
-            if save:
-                path = out / "fields" / f"{labels[idx]}_{idx % config.N:03d}.csv"
-                write_field(fld, path)
-                st.outputs.append(path.relative_to(out))
+        if config.field_bounds is not None:
+            spec = GridSpec(*config.field_bounds, nx, ny)
+            return [kde_grid(cloud, config.h, spec) for cloud in clouds]
+        return [kde_grid(c, config.h, default_kde_spec(c, config.h, nx, ny)) for c in clouds]
 
-    diagrams = []
-    with _StageTimer(manifest, "persistence", {"max_dim": config.max_dim}) as st:
-        if save:
-            (out / "diagrams").mkdir(exist_ok=True)
-        for idx, fld in enumerate(fields):
-            diag = compute_persistence(fld, "superlevel", config.max_dim)
-            diagrams.append(diag)
-            if save:
-                path = out / "diagrams" / f"{labels[idx]}_{idx % config.N:03d}.csv"
-                write_diagram(diag, path)
-                st.outputs.append(path.relative_to(out))
+    def persist(fields):
+        return [compute_persistence(f, "superlevel", config.max_dim) for f in fields]
 
-    grids = []
-    with _StageTimer(manifest, "intensity", {"tau": config.tau}) as st:
-        inx, iny = config.intensity_grid
-        ispec = default_intensity_spec(diagrams, config.tau, inx, iny)
-        if save:
-            (out / "intensities").mkdir(exist_ok=True)
-        for idx, diag in enumerate(diagrams):
-            grid = smooth_diagram(diag, config.tau, w=weights, spec=ispec)
-            grids.append(grid)
-            if save:
-                path = out / "intensities" / f"{labels[idx]}_{idx % config.N:03d}.csv"
-                write_intensity(grid, path)
-                st.outputs.append(path.relative_to(out))
+    def smooth(diagrams):
+        ispec = default_intensity_spec(diagrams, config.tau, *config.intensity_grid)
+        return [smooth_diagram(d, config.tau, w=weights, spec=ispec) for d in diagrams]
 
-    with _StageTimer(manifest, "distances", {}) as st:
-        delta = distance_matrix(grids)
+    # Each stage maps the previous stage's items, one per cloud, to its own
+    # and saves them to its subdirectory. Steps and writers use this module's
+    # names as looked up during the run, so wrappers set on them see each call.
+    stages = (
+        ("synth", {"n": config.n, "N": config.N}, "clouds", write_cloud, sample),
+        ("field", {"h": config.h, "grid": config.field_grid}, "fields", write_field, estimate),
+        ("persistence", {"max_dim": config.max_dim}, "diagrams", write_diagram, persist),
+        ("intensity", {"tau": config.tau}, "intensities", write_intensity, smooth),
+    )
+    items = None
+    for name, params, subdir, write, step in stages:
+        with manifest.stage(name, params) as outputs:
+            items = step(items)
+            if save:
+                (out / subdir).mkdir(exist_ok=True)
+                for stem, item in zip(stems, items):
+                    path = out / subdir / f"{stem}.csv"
+                    write(item, path)
+                    outputs.append(path.relative_to(out))
+
+    with manifest.stage("distances", {}) as outputs:
+        delta = distance_matrix(items)
         write_matrix(delta.entries, out / "delta.csv")
-        st.outputs.append("delta.csv")
+        outputs.append("delta.csv")
 
-    with _StageTimer(manifest, "mds", {"k": 2}) as st:
+    with manifest.stage("mds", {"k": 2}) as outputs:
         emb = classical_mds(delta, 2)
         write_embedding(emb, out / "coords.csv", labels=labels)
-        st.outputs.append("coords.csv")
+        outputs.append("coords.csv")
 
     manifest.save(out / "manifest.json")
     return manifest
@@ -234,13 +210,13 @@ def run_fig4(config, out_dir=None):
     _expect_experiment(config, "fig4")
     out = _resolve_out_dir(config, out_dir)
     manifest = _new_manifest(config)
-    with _StageTimer(manifest, "power", {"q_values": config.q_values}) as st:
+    with manifest.stage("power", {"q_values": config.q_values}) as outputs:
         curve = write_power_curve(config, out / "curve.csv")
-        st.outputs.append("curve.csv")
+        outputs.append("curve.csv")
         with open(out / "pvalues.csv", "w") as fh:
             fh.write("q,trial,T1,p\n")
             _write_rows(fh, [[float(q), t, float(s), float(p)] for q, t, s, p in curve.records])
-        st.outputs.append("pvalues.csv")
+        outputs.append("pvalues.csv")
     manifest.extras["rates"] = {
         str(a): list(r) for a, r in zip(curve.alphas, curve.rates)
     }
@@ -297,9 +273,9 @@ def run_mise(config, out_dir=None):
     _expect_experiment(config, "mise")
     out = _resolve_out_dir(config, out_dir)
     manifest = _new_manifest(config)
-    with _StageTimer(manifest, "mise", {"N_values": config.N_values}) as st:
+    with manifest.stage("mise", {"N_values": config.N_values}) as outputs:
         curve = write_mise_curve(config, out / "curve.csv")
-        st.outputs.append("curve.csv")
+        outputs.append("curve.csv")
     manifest.extras["tau_rule"] = curve.tau_rule
     manifest.extras["loglog_slope"] = curve.slope
     manifest.save(out / "manifest.json")

@@ -57,6 +57,13 @@ def pick_index(rng, count):
     return count - 1 if k >= count else k
 
 
+def pick_indices(rng, counts):
+    """:func:`pick_index` for each count in turn, from one ``rng.random`` call."""
+    counts = np.asarray(counts, dtype=np.int64)
+    k = (rng.random(counts.size) * counts).astype(np.int64)
+    return np.minimum(k, counts - 1)
+
+
 def exponential(rng, mean):
     """Exponential variate by inversion."""
     return -mean * math.log(1.0 - rng.random())

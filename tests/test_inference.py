@@ -5,11 +5,13 @@ import pytest
 
 from persint.errors import (
     DegenerateStatisticError,
+    IncompatibleGridsError,
     InvalidInputError,
     InvalidParameterError,
 )
 from persint.field import GridSpec
 from persint.inference import (
+    _fisher_yates,
     bias_scaling_study,
     bootstrap_zscore,
     field_diagram_source,
@@ -35,7 +37,15 @@ from persint.intensity import (
 )
 from persint.analyze import l1_distance
 from persint.persistence import PersistenceDiagram, PersistencePair
-from persint.seeding import child_seed, exponential, gauss_pair, make_rng, poisson
+from persint.seeding import (
+    child_seed,
+    exponential,
+    gauss_pair,
+    make_rng,
+    pick_index,
+    pick_indices,
+    poisson,
+)
 
 SPEC = GridSpec(0, 1, 0, 1, 8, 8)
 
@@ -63,17 +73,116 @@ def test_statistic_constant_groups():
     assert stat == pytest.approx(1.5 * area, rel=1e-12)
 
 
+def _problems(count, seed, sizes=(2, 7)):
+    """Random two-sample problems on 16x16 grids whose magnitudes span four
+    decades, so that sums in different orders round differently."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(0, 1, 0, 1, 16, 16)
+    for _ in range(count):
+        n1, n2 = rng.integers(sizes[0], sizes[1] + 1, size=2)
+        values = [rng.uniform(size=(16, 16)) * 10.0 ** rng.uniform(-2, 2) for _ in range(n1 + n2)]
+        grids = [IntensityGrid(spec=spec, values=v, tau=0.1) for v in values]
+        yield grids[:n1], grids[n1:], rng
+
+
+def _canonical(grids):
+    return sorted(grids, key=lambda g: g.values.tobytes())
+
+
 def test_statistic_compositional_oracle():
-    g1 = _random_grids(1, 4)
-    g2 = _random_grids(2, 3)
-    direct = two_sample_statistic(g1, g2)
-    composed = l1_distance(average_intensity(g1), average_intensity(g2))
-    assert direct == composed
+    # The statistic averages each group in canonical (value-byte) order.
+    for g1, g2, _ in _problems(40, seed=3):
+        direct = two_sample_statistic(g1, g2)
+        composed = l1_distance(average_intensity(_canonical(g1)), average_intensity(_canonical(g2)))
+        assert direct == composed
 
 
 def test_statistic_errors():
     with pytest.raises(InvalidInputError):
         two_sample_statistic([], [_const(1.0)])
+    with pytest.raises(IncompatibleGridsError):
+        two_sample_statistic([_const(1.0)], [_const(1.0, spec=GridSpec(0, 1, 0, 1, 8, 9))])
+    with pytest.raises(IncompatibleGridsError):
+        mixed = [_const(1.0), _const(2.0, spec=GridSpec(0, 2, 0, 1, 8, 8))]
+        permutation_test(mixed, [_const(1.0)], B=5, seed=1)
+
+
+def test_statistic_and_test_ignore_order_within_groups():
+    for g1, g2, rng in _problems(200, seed=1):
+        want = permutation_test(g1, g2, B=20, seed=7, keep_null=True)
+        assert two_sample_statistic(g1, g2) == want.statistic
+        relisted = [
+            (g1[::-1], g2[::-1]),
+            ([g1[k] for k in rng.permutation(len(g1))], [g2[k] for k in rng.permutation(len(g2))]),
+        ]
+        for h1, h2 in relisted:
+            assert two_sample_statistic(h1, h2) == want.statistic
+            assert permutation_test(h1, h2, B=20, seed=7, keep_null=True) == want
+
+
+def _frozen_fisher_yates(rng, idx):
+    for i in range(len(idx) - 1, 0, -1):
+        j = pick_index(rng, i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+
+
+def test_redrawn_observed_partition_ties_observed():
+    # Replays the protocol with the scalar shuffle: canonical pool, first
+    # min(n1, n2) slots to one side. A permutation that redraws the observed
+    # partition (or its mirror when n1 == n2) must equal T1 exactly, and
+    # every permuted statistic is the canonical-order gap of its partition.
+    redrawn = 0
+    for t, (g1, g2, _) in enumerate(_problems(100, seed=2, sizes=(3, 4))):
+        res = permutation_test(g1, g2, B=100, seed=t, keep_null=True)
+        pooled = _canonical(g1 + g2)
+        stack = np.stack([g.values.ravel() for g in pooled])
+        n_small = min(len(g1), len(g2))
+        observed = [{id(g) for g in grp} for grp in (g1, g2) if len(grp) == n_small]
+        rng, idx = make_rng(t), list(range(len(pooled)))
+        for stat in res.null_stats:
+            _frozen_fisher_yates(rng, idx)
+            small, rest = sorted(idx[:n_small]), sorted(idx[n_small:])
+            gap = np.abs(stack[small].mean(axis=0) - stack[rest].mean(axis=0)).sum()
+            assert stat == float(gap * pooled[0].spec.cell_area)
+            if {id(pooled[k]) for k in small} in observed:
+                redrawn += 1
+                assert stat == res.statistic
+    assert redrawn >= 200
+
+
+def _frozen_bootstrap(g1, g2, B, seed):
+    pooled = _canonical(g1 + g2)
+    row = {id(g): k for k, g in enumerate(pooled)}
+    stack = np.stack([g.values.ravel() for g in pooled])
+
+    def gap(r1, r2):
+        m1, m2 = stack[sorted(r1)].mean(axis=0), stack[sorted(r2)].mean(axis=0)
+        return float(np.abs(m1 - m2).sum() * pooled[0].spec.cell_area)
+
+    rng = make_rng(seed)
+    stats = []
+    for _ in range(B):
+        r1 = [row[id(g1[pick_index(rng, len(g1))])] for _ in g1]
+        r2 = [row[id(g2[pick_index(rng, len(g2))])] for _ in g2]
+        stats.append(gap(r1, r2))
+    return gap([row[id(g)] for g in g1], [row[id(g)] for g in g2]) / float(np.std(stats, ddof=1))
+
+
+def test_vectorized_draws_match_scalar_loops():
+    problems = _problems(250, seed=4)
+    for s in range(250):
+        n = 1 + s % 45
+        idx, want = list(range(n)), list(range(n))
+        rng, ref = make_rng(s), make_rng(s)
+        for _ in range(3):
+            _fisher_yates(rng, idx)
+            _frozen_fisher_yates(ref, want)
+            assert idx == want
+        counts = [n] * n + list(range(n, 0, -1))
+        assert pick_indices(rng, counts).tolist() == [pick_index(ref, c) for c in counts]
+        assert rng.random() == ref.random()
+        g1, g2, _ = next(problems)
+        assert bootstrap_zscore(g1, g2, B=4, seed=s) == _frozen_bootstrap(g1, g2, 4, s)
 
 
 def test_permutation_identical_singletons():
