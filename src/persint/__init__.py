@@ -36,8 +36,6 @@ from .intensity import (
     average_intensity,
     intensity_at,
     smooth_diagram,
-    weight_eval,
-    weight_spec,
 )
 from .analyze import (
     ClusterAssignment,

@@ -14,7 +14,7 @@ from .errors import (
     InvalidParameterError,
     InvariantError,
 )
-from .field import _write_rows
+from .field import _read_float_rows, _write_rows
 from .seeding import make_rng, pick_index
 
 
@@ -265,21 +265,11 @@ def write_matrix(matrix, path):
 
 
 def read_matrix(path):
-    rows = []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise CsvFormatError(path, lineno, f"bad float: {exc}") from None
-    if not rows:
+        rows = _read_float_rows(csv.reader(fh), path, first_line=1)
+    if not rows.size:
         raise CsvFormatError(path, 1, "empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise CsvFormatError(path, 1, f"ragged rows: widths {sorted(widths)}")
-    return np.array(rows)
+    return rows
 
 
 def write_embedding(embedding, path, labels=None):

@@ -24,16 +24,16 @@ from .analyze import (
     write_embedding,
     write_matrix,
 )
-from .config import load_config, validate_config
+from .config import load_config
 from .errors import ConfigError, InvalidInputError, PersintError
 from .field import GridSpec, default_kde_spec, distance_grid, kde_grid, read_field, write_field
 from .inference import permutation_test
 from .intensity import (
+    WeightSpec,
     average_intensity,
     default_intensity_spec,
     read_intensity,
     smooth_diagram,
-    weight_spec,
     write_intensity,
 )
 from .persistence import compute_persistence, read_diagram, write_diagram
@@ -177,7 +177,7 @@ def _cmd_persist(args):
 
 def _cmd_intensity(args):
     diag = read_diagram(args.infile)
-    w = weight_spec(args.g0, args.g1)
+    w = WeightSpec(args.g0, args.g1)
     nx, ny = args.grid
     spec = (
         GridSpec(*args.bounds, nx, ny)
@@ -272,11 +272,7 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    errors = validate_config(args.config)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
+    load_config(args.config)  # a ConfigError lists every violation
     print("config ok")
     return 0
 

@@ -1,17 +1,20 @@
 """Experiment configuration: a JSON schema with up-front validation.
 
 A config file is a flat JSON object. ``experiment`` selects the recipe
-(fig2, fig4, or mise); the remaining keys parameterize the stages. Every
-constraint from every stage is checked before anything runs, and all
+(fig2, fig4, or mise); the remaining keys parameterize the stages. Each
+key's constraint is one row of ``_RULES`` (of ``_GENERATOR_RULES`` for the
+keys of ``generator``); all are checked before anything runs, and all
 violations are reported together with their field paths. A missing master
-seed is accepted and defaults to 0; per-stage seeds are always derived
-from the master via the documented child-seed rule.
+seed defaults to 0; per-stage seeds are always derived from the master
+via the documented child-seed rule.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
+from .synth import POPULATIONS
 
 DEFAULT_GENERATOR = {
     "kind": "field",
@@ -73,145 +76,134 @@ class ExperimentConfig:
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+# An absent key takes its default, which is valid; so does None where the
+# default is None. Neither is checked. A key with a None default is required
+# by the experiments that check it, unless it is optional; "custom" configs
+# describe hand-driven stage runs and require nothing.
+_NONE_DEFAULTS = {f.name for f in fields(ExperimentConfig) if f.default is None}
+_OPTIONAL = {"seed", "out_dir", "field_bounds", "N_ref", "tau_ref"}
 
-# "custom" configs describe hand-driven stage runs; nothing is required.
-_REQUIRED = {
-    "fig2": ("n", "N", "h", "tau"),
-    "fig4": ("n", "N", "h", "tau", "q_values", "B", "trials"),
-    "mise": ("N_values", "tau_scale", "reps"),
-    "custom": (),
+
+def _number(v, types=(int, float)):
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+def _items(v, size, item_ok):
+    return isinstance(v, (list, tuple)) and len(v) == size and all(map(item_ok, v))
+
+
+# A rule is (message, predicate); a value breaks it when the predicate is false.
+def _at_least(lo):
+    return f"must be an integer >= {lo}", lambda v: _number(v, int) and v >= lo
+
+
+_POSITIVE = "must be a float > 0", lambda v: _number(v) and v > 0
+_NONNEGATIVE = "must be a number >= 0", lambda v: _number(v) and not v < 0
+_UNIT = "must lie in [0, 1]", lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0
+_LEVEL = "must lie in (0, 1)", lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0
+_GRID = "must be [nx, ny] with integer nx, ny >= 2", lambda v: _items(v, 2, _at_least(2)[1])
+_SEED = "must be a 64-bit unsigned integer", lambda v: _number(v, int) and 0 <= v < 2**64
+_BOUNDS = (
+    "must be [x_lo, x_hi, y_lo, y_hi] with lo < hi",
+    lambda v: _items(v, 4, lambda x: isinstance(x, (int, float))) and v[0] < v[1] and v[2] < v[3],
+)
+
+# Keys of each generator kind; an absent key takes its diagram source's default.
+_GENERATOR_RULES = {
+    "field": {
+        "grid": _GRID,
+        "h": _POSITIVE,
+        "n": _at_least(1),
+        "population": (f"must be one of {POPULATIONS}", lambda v: v in POPULATIONS),
+        "q": _UNIT,
+    },
+    "synthetic": {
+        "mean_pairs": _POSITIVE,
+        "birth_center": ("must be a number", _number),
+        "birth_sd": _NONNEGATIVE,
+        "life_mean": _POSITIVE,
+    },
+}
+_KINDS = tuple(_GENERATOR_RULES)
+_GENERATOR = (
+    f"must be an object with kind {' or '.join(map(repr, _KINDS))}",
+    lambda v: isinstance(v, dict) and v.get("kind") in _KINDS,
+)
+
+_ALL = EXPERIMENTS
+_STAGES = ("fig2", "fig4", "custom")
+# key: (experiments that check it, rule, whether the rule applies to each
+# element of a nonempty list), in report order.
+_RULES = {
+    "seed": (_ALL, _SEED, False),
+    "threads": (_ALL, _at_least(1), False),
+    "out_dir": (_ALL, ("must be a string", lambda v: isinstance(v, str)), False),
+    "save_intermediates": (_ALL, ("must be true or false", lambda v: isinstance(v, bool)), False),
+    "n": (_STAGES, _at_least(1), False),
+    "N": (_STAGES, _at_least(1), False),
+    "h": (_STAGES, _POSITIVE, False),
+    "tau": (_STAGES, _POSITIVE, False),
+    "field_grid": (_STAGES, _GRID, False),
+    "intensity_grid": (_STAGES, _GRID, False),
+    "field_bounds": (_STAGES, _BOUNDS, False),
+    "max_dim": (_STAGES, ("must be 0 or 1", lambda v: v in (0, 1)), False),
+    "g0": (_STAGES, _NONNEGATIVE, False),
+    "g1": (_STAGES, _NONNEGATIVE, False),
+    "q_values": (("fig4",), _UNIT, True),
+    "B": (("fig4",), _at_least(1), False),
+    "trials": (("fig4",), _at_least(1), False),
+    "alphas": (("fig4",), _LEVEL, True),
+    "N_values": (("mise",), _at_least(1), True),
+    "tau_scale": (("mise",), _POSITIVE, False),
+    "reps": (("mise",), _at_least(1), False),
+    "N_ref": (("mise",), _at_least(2), False),
+    "tau_ref": (("mise",), _POSITIVE, False),
+    "generator": (("mise",), _GENERATOR, False),
 }
 
 
-def _check_grid(errors, name, value):
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and v >= 2 for v in value)
-    ):
-        errors.append(f"{name}: must be [nx, ny] with integer nx, ny >= 2, got {value!r}")
+def _unknown(keys, prefix=""):
+    return [f"{prefix}{key}: unknown configuration key" for key in sorted(keys)]
 
 
-def _check_positive(errors, name, value, kind=float):
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        errors.append(f"{name}: must be a {kind.__name__} > 0, got {value!r}")
+def _largest_n(raw):
+    nvs = raw.get("N_values")
+    whole = isinstance(nvs, list) and nvs and all(isinstance(v, int) for v in nvs)
+    return max(nvs) if whole else -math.inf
 
 
 def validate_config_dict(raw):
     """All constraint violations of a raw config mapping, with field paths."""
-    errors = []
     if not isinstance(raw, dict):
         return ["config root must be a JSON object"]
-    unknown = sorted(set(raw) - _FIELD_NAMES)
-    for key in unknown:
-        errors.append(f"{key}: unknown configuration key")
-
+    errors = _unknown(set(raw) - _FIELD_NAMES)
     exp = raw.get("experiment")
     if exp not in EXPERIMENTS:
-        errors.append(f"experiment: must be one of {EXPERIMENTS}, got {exp!r}")
-        return errors
+        return errors + [f"experiment: must be one of {EXPERIMENTS}, got {exp!r}"]
+    rules = {key: row for key, (experiments, *row) in _RULES.items() if exp in experiments}
+    required = set() if exp == "custom" else _NONE_DEFAULTS - _OPTIONAL
+    missing = [key for key in rules if key in required and raw.get(key) is None]
+    errors += [f"{key}: required for experiment {exp!r}" for key in missing]
 
-    for key in _REQUIRED[exp]:
-        if raw.get(key) is None:
-            errors.append(f"{key}: required for experiment {exp!r}")
-
-    seed = raw.get("seed")
-    if seed is not None and (not isinstance(seed, int) or not 0 <= seed < 2**64):
-        errors.append(f"seed: must be a 64-bit unsigned integer, got {seed!r}")
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        errors.append(f"threads: must be an integer >= 1, got {threads!r}")
-
-    if exp in ("fig2", "fig4", "custom"):
-        if raw.get("n") is not None and (not isinstance(raw["n"], int) or raw["n"] < 1):
-            errors.append(f"n: must be an integer >= 1, got {raw['n']!r}")
-        if raw.get("N") is not None and (not isinstance(raw["N"], int) or raw["N"] < 1):
-            errors.append(f"N: must be an integer >= 1, got {raw['N']!r}")
-        if raw.get("h") is not None:
-            _check_positive(errors, "h", raw["h"])
-        if raw.get("tau") is not None:
-            _check_positive(errors, "tau", raw["tau"])
-        _check_grid(errors, "field_grid", raw.get("field_grid", [128, 128]))
-        _check_grid(errors, "intensity_grid", raw.get("intensity_grid", [128, 128]))
-        bounds = raw.get("field_bounds")
-        if bounds is not None:
-            ok = (
-                isinstance(bounds, (list, tuple))
-                and len(bounds) == 4
-                and all(isinstance(v, (int, float)) for v in bounds)
-                and bounds[0] < bounds[1]
-                and bounds[2] < bounds[3]
-            )
-            if not ok:
-                errors.append(
-                    f"field_bounds: must be [x_lo, x_hi, y_lo, y_hi] with lo < hi, got {bounds!r}"
-                )
-        if raw.get("max_dim", 1) not in (0, 1):
-            errors.append(f"max_dim: must be 0 or 1, got {raw.get('max_dim')!r}")
-        for key in ("g0", "g1"):
-            v = raw.get(key, 1.0)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-                errors.append(f"{key}: must be a number >= 0, got {v!r}")
-
-    if exp == "fig4":
-        qs = raw.get("q_values")
-        if qs is not None:
-            if not isinstance(qs, list) or not qs:
-                errors.append(f"q_values: must be a nonempty list, got {qs!r}")
-            else:
-                for i, q in enumerate(qs):
-                    if not isinstance(q, (int, float)) or not 0.0 <= q <= 1.0:
-                        errors.append(f"q_values[{i}]: must lie in [0, 1], got {q!r}")
-        if raw.get("B") is not None and (not isinstance(raw["B"], int) or raw["B"] < 1):
-            errors.append(f"B: must be an integer >= 1, got {raw['B']!r}")
-        if raw.get("trials") is not None and (
-            not isinstance(raw["trials"], int) or raw["trials"] < 1
-        ):
-            errors.append(f"trials: must be an integer >= 1, got {raw['trials']!r}")
-        alphas = raw.get("alphas", [0.05, 0.01])
-        if not isinstance(alphas, list) or not alphas:
-            errors.append(f"alphas: must be a nonempty list, got {alphas!r}")
-        else:
-            for i, a in enumerate(alphas):
-                if not isinstance(a, (int, float)) or not 0.0 < a < 1.0:
-                    errors.append(f"alphas[{i}]: must lie in (0, 1), got {a!r}")
-
-    if exp == "mise":
-        nvs = raw.get("N_values")
-        if nvs is not None:
-            if not isinstance(nvs, list) or not nvs:
-                errors.append(f"N_values: must be a nonempty list, got {nvs!r}")
-            else:
-                for i, v in enumerate(nvs):
-                    if not isinstance(v, int) or v < 1:
-                        errors.append(f"N_values[{i}]: must be an integer >= 1, got {v!r}")
-        if raw.get("tau_scale") is not None:
-            _check_positive(errors, "tau_scale", raw["tau_scale"])
-        if raw.get("reps") is not None and (not isinstance(raw["reps"], int) or raw["reps"] < 1):
-            errors.append(f"reps: must be an integer >= 1, got {raw['reps']!r}")
-        if raw.get("N_ref") is not None:
-            if not isinstance(raw["N_ref"], int) or raw["N_ref"] < 2:
-                errors.append(f"N_ref: must be an integer >= 2, got {raw['N_ref']!r}")
-            elif isinstance(nvs, list) and nvs and all(isinstance(v, int) for v in nvs):
-                if raw["N_ref"] <= max(nvs):
-                    errors.append(
-                        f"N_ref: must exceed the largest N in N_values, got {raw['N_ref']!r}"
-                    )
-        if raw.get("tau_ref") is not None:
-            _check_positive(errors, "tau_ref", raw["tau_ref"])
-        gen = raw.get("generator", DEFAULT_GENERATOR)
-        if not isinstance(gen, dict) or gen.get("kind") not in ("field", "synthetic"):
-            errors.append(
-                f"generator: must be an object with kind 'field' or 'synthetic', got {gen!r}"
-            )
-        elif gen.get("kind") == "field":
-            if "grid" in gen:
-                _check_grid(errors, "generator.grid", gen["grid"])
-            if "h" in gen:
-                _check_positive(errors, "generator.h", gen["h"])
-            if "n" in gen and (not isinstance(gen["n"], int) or gen["n"] < 1):
-                errors.append(f"generator.n: must be an integer >= 1, got {gen['n']!r}")
-
+    for key, ((message, ok), each) in rules.items():
+        value = raw.get(key)
+        if key not in raw or (value is None and key in _NONE_DEFAULTS):
+            continue
+        if each and not (isinstance(value, list) and value):
+            errors.append(f"{key}: must be a nonempty list, got {value!r}")
+        elif each:
+            bad = [(i, v) for i, v in enumerate(value) if not ok(v)]
+            errors += [f"{key}[{i}]: {message}, got {v!r}" for i, v in bad]
+        elif not ok(value):
+            errors.append(f"{key}: {message}, got {value!r}")
+        elif key == "N_ref" and value <= _largest_n(raw):
+            errors.append(f"N_ref: must exceed the largest N in N_values, got {value!r}")
+        elif key == "generator":
+            kind_rules = _GENERATOR_RULES[value["kind"]]
+            errors += _unknown(set(value) - set(kind_rules) - {"kind"}, "generator.")
+            for k, (m, ok) in kind_rules.items():
+                if k in value and not ok(value[k]):
+                    errors.append(f"generator.{k}: {m}, got {value[k]!r}")
     return errors
 
 
@@ -223,25 +215,24 @@ def config_from_dict(raw):
     return ExperimentConfig(**raw)
 
 
-def load_config(path):
-    """Load and validate a config file; raises ConfigError on any violation."""
+def _read_json(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from None
-    return config_from_dict(raw)
+
+
+def load_config(path):
+    """Load and validate a config file; raises ConfigError on any violation."""
+    return config_from_dict(_read_json(path))
 
 
 def validate_config(path):
     """All violations in a config file (empty list means valid)."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        return [f"cannot read {path}: {exc}"]
-    except json.JSONDecodeError as exc:
-        return [f"{path} is not valid JSON: {exc}"]
-    return validate_config_dict(raw)
+        return validate_config_dict(_read_json(path))
+    except ConfigError as exc:
+        return exc.errors

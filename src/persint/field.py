@@ -17,6 +17,7 @@ from .errors import CsvFormatError, InvalidInputError, InvalidParameterError
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 FIELD_KINDS = ("density", "distance")
+_SPEC_HEADER = "kind,x_lo,x_hi,y_lo,y_hi,nx,ny"  # the first line of field and intensity CSVs
 
 
 @dataclass(frozen=True)
@@ -85,19 +86,28 @@ class GridField:
         return float(self.values.sum() * self.spec.cell_area)
 
 
-def default_kde_spec(cloud, h, nx=128, ny=128):
-    """Grid covering the cloud's bounding box expanded by 4h per side."""
-    if len(cloud) == 0:
-        raise InvalidInputError("cannot derive grid bounds from an empty cloud")
-    pad = 4.0 * h
+def box_spec(xs, ys, pad, nx, ny):
+    """Grid covering the bounding box of the points (xs, ys), expanded by ``pad``."""
+    if not len(xs):
+        raise InvalidInputError("cannot derive grid bounds: no points")
     return GridSpec(
-        x_lo=float(cloud.x.min()) - pad,
-        x_hi=float(cloud.x.max()) + pad,
-        y_lo=float(cloud.y.min()) - pad,
-        y_hi=float(cloud.y.max()) + pad,
+        x_lo=float(xs.min()) - pad,
+        x_hi=float(xs.max()) + pad,
+        y_lo=float(ys.min()) - pad,
+        y_hi=float(ys.max()) + pad,
         nx=nx,
         ny=ny,
     )
+
+
+def default_kde_spec(cloud, h, nx=128, ny=128):
+    """Grid covering the cloud's bounding box expanded by 4h per side."""
+    return box_spec(cloud.x, cloud.y, 4.0 * h, nx, ny)
+
+
+def _gaussian_rows(centers, nodes, bandwidth):
+    """Standard Gaussian kernel at ``(center - node) / bandwidth``, one row per center."""
+    return np.exp(-0.5 * ((centers[:, None] - nodes[None, :]) / bandwidth) ** 2) / SQRT_TWO_PI
 
 
 def kde_grid(cloud, h, spec):
@@ -113,8 +123,8 @@ def kde_grid(cloud, h, spec):
         raise InvalidInputError("kernel density of an empty cloud is undefined")
     if not h > 0:
         raise InvalidParameterError(f"bandwidth h must be > 0, got {h}")
-    ax = np.exp(-0.5 * ((cloud.x[:, None] - spec.xs()[None, :]) / h) ** 2) / SQRT_TWO_PI
-    ay = np.exp(-0.5 * ((cloud.y[:, None] - spec.ys()[None, :]) / h) ** 2) / SQRT_TWO_PI
+    ax = _gaussian_rows(cloud.x, spec.xs(), h)
+    ay = _gaussian_rows(cloud.y, spec.ys(), h)
     # optimize=False keeps einsum on its fixed-order C loop (deterministic).
     vals = np.einsum("pi,pj->ij", ax, ay, optimize=False) / (len(cloud) * h * h)
     return GridField(spec=spec, values=vals, kind="density")
@@ -142,13 +152,13 @@ def _fmt(x):
 def write_field(field, path):
     """Write a field as CSV: a spec header block, then row-major values."""
     with open(path, "w", newline="") as fh:
-        fh.write("kind,x_lo,x_hi,y_lo,y_hi,nx,ny\n")
-        s = field.spec
-        fh.write(
-            f"{field.kind},{_fmt(s.x_lo)},{_fmt(s.x_hi)},{_fmt(s.y_lo)},{_fmt(s.y_hi)},"
-            f"{s.nx},{s.ny}\n"
-        )
+        _write_spec_block(fh, field.kind, field.spec)
         _write_rows(fh, field.values)
+
+
+def _write_spec_block(fh, kind, s):
+    fh.write(f"{_SPEC_HEADER}\n")
+    fh.write(f"{kind},{_fmt(s.x_lo)},{_fmt(s.x_hi)},{_fmt(s.y_lo)},{_fmt(s.y_hi)},{s.nx},{s.ny}\n")
 
 
 def _write_rows(fh, rows, labels=None):
@@ -168,18 +178,14 @@ def _write_rows(fh, rows, labels=None):
         fh.writelines(f"{','.join(map(repr, row))},{label}\n" for row, label in lines)
 
 
+def _read_header(reader, path, header, line=1):
+    row = next(reader, None)
+    if row is None or [h.strip() for h in row] != header.split(","):
+        raise CsvFormatError(path, line, f"expected header '{header}'")
+
+
 def _read_spec_block(reader, path, kinds):
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != [
-        "kind",
-        "x_lo",
-        "x_hi",
-        "y_lo",
-        "y_hi",
-        "nx",
-        "ny",
-    ]:
-        raise CsvFormatError(path, 1, "expected header 'kind,x_lo,x_hi,y_lo,y_hi,nx,ny'")
+    _read_header(reader, path, _SPEC_HEADER)
     row = next(reader, None)
     if row is None or len(row) != 7:
         raise CsvFormatError(path, 2, "expected a 7-column spec row")
@@ -218,6 +224,38 @@ def _read_rows(reader, path, spec, first_line):
         lineno += 1
         if any(cell.strip() for cell in row):
             raise CsvFormatError(path, lineno, f"unexpected data after {spec.nx} value rows")
+    _reject_bad_values(path, vals, range(first_line, first_line + spec.nx), nonnegative=True)
+    return vals
+
+
+def _reject_bad_values(path, vals, lines, nonnegative=False):
+    """CsvFormatError at the line of the first row of ``vals`` (read from
+    ``lines``) with a value that is not finite, or negative if ``nonnegative``."""
+    bad = ~np.isfinite(vals) | (nonnegative & (vals < 0))
+    if bad.any():
+        need = "finite and >= 0" if nonnegative else "finite"
+        line = lines[int(bad.any(axis=1).argmax())]
+        raise CsvFormatError(path, line, f"values must be {need}, got {float(vals[bad][0])!r}")
+
+
+def _read_float_rows(reader, path, first_line, width=None):
+    """The nonblank CSV rows from ``first_line`` on as a 2D float array, each
+    ``width`` values long (by default, as long as the first). CsvFormatError
+    names the first line that breaks this or holds a non-finite value."""
+    rows, lines = [], []
+    for lineno, row in enumerate(reader, start=first_line):
+        if not row:
+            continue
+        width = width or len(row)
+        if len(row) != width:
+            raise CsvFormatError(path, lineno, f"expected {width} columns, got {len(row)}")
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError as exc:
+            raise CsvFormatError(path, lineno, f"bad float: {exc}") from None
+        lines.append(lineno)
+    vals = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
+    _reject_bad_values(path, vals, lines)
     return vals
 
 

@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     StageError,
 )
-from .field import GridSpec, kde_grid
+from .field import GridSpec, box_spec, kde_grid
 from .intensity import (
     default_intensity_spec,
     intensity_at,
@@ -231,13 +231,14 @@ def field_diagram_source(
     n=60,
     h=0.25,
     q=0.0,
-    spec=None,
+    grid=(64, 64),
     direction="superlevel",
     max_dim=0,
 ):
-    """Diagram process: sample a cloud, estimate its density, take persistence."""
-    if spec is None:
-        spec = population_field_spec(population, h)
+    """Diagram process: sample a cloud, estimate its density on the
+    population's fixed ``grid`` (see :func:`population_field_spec`), take
+    persistence."""
+    spec = population_field_spec(population, h, *grid)
 
     def draw(seed):
         cloud = generate_population(population, n, seed, q=q)
@@ -364,6 +365,15 @@ def loglog_slope(xs, ys):
     return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
 
 
+def _reference(source, seed, n_ref, tau_ref, tau_max, grid, pad_factor=4.0):
+    """Grid spec and mean intensity at ``tau_ref`` of the reference diagrams
+    ``source(child_seed(seed, 0, i))``, i < n_ref, whose pairs are pooled
+    once. The grid covers the pairs plus ``pad_factor * tau_max``."""
+    pairs = pooled_pairs([source(child_seed(seed, 0, i)) for i in range(n_ref)])
+    spec = box_spec(pairs[0], pairs[1], pad_factor * tau_max, *grid)
+    return spec, mean_intensity_values(*pairs, tau_ref, spec)
+
+
 def mise_study(
     source,
     n_values,
@@ -401,17 +411,14 @@ def mise_study(
         tau_ref = 0.5 * min(taus)
 
     # Reference seeds: child_seed(seed, 0, i); sweep: child_seed(seed, 1, N_index, rep, i).
-    ref_diagrams = [source(child_seed(seed, 0, i)) for i in range(n_ref)]
-    spec = default_intensity_spec(ref_diagrams, max(taus), *grid, pad_factor=pad_factor)
-    ref = mean_intensity_values(ref_diagrams, tau_ref, spec)
-
+    spec, ref = _reference(source, seed, n_ref, tau_ref, max(taus), grid, pad_factor)
     area = spec.cell_area
     mise = []
     for ni, n_diag in enumerate(n_values):
         total = 0.0
         for rep in range(reps):
-            diagrams = (source(child_seed(seed, 1, ni, rep, i)) for i in range(n_diag))
-            acc = mean_intensity_values(diagrams, taus[ni], spec)
+            diagrams = [source(child_seed(seed, 1, ni, rep, i)) for i in range(n_diag)]
+            acc = mean_intensity_values(*pooled_pairs(diagrams), taus[ni], spec)
             total += float(((acc - ref) ** 2).sum() * area)
         mise.append(total / reps)
 
@@ -432,20 +439,19 @@ def tau_mise_sweep(source, n_diagrams, taus, reps, seed, n_ref, tau_ref, grid=(6
     trade-off in tau directly.
     """
     taus = tuple(float(t) for t in taus)
-    ref_diagrams = [source(child_seed(seed, 0, i)) for i in range(n_ref)]
-    spec = default_intensity_spec(ref_diagrams, max(taus), *grid)
-    ref = mean_intensity_values(ref_diagrams, tau_ref, spec)
+    spec, ref = _reference(source, seed, n_ref, tau_ref, max(taus), grid)
     area = spec.cell_area
     # The same diagrams are reused across taus (paired comparison), so the
     # curve shape reflects the bandwidth alone.
-    rep_diagrams = [
-        [source(child_seed(seed, 1, rep, i)) for i in range(n_diagrams)] for rep in range(reps)
+    rep_pairs = [
+        pooled_pairs([source(child_seed(seed, 1, rep, i)) for i in range(n_diagrams)])
+        for rep in range(reps)
     ]
     out = []
     for tau in taus:
         total = 0.0
-        for diagrams in rep_diagrams:
-            acc = mean_intensity_values(diagrams, tau, spec)
+        for pairs in rep_pairs:
+            acc = mean_intensity_values(*pairs, tau, spec)
             total += float(((acc - ref) ** 2).sum() * area)
         out.append(total / reps)
     return out
@@ -517,10 +523,7 @@ def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256
     weights /= num_diagrams
     if births.size == 0:
         raise InvalidInputError("diagram process produced no pairs")
-    pad = pad_factor * math.hypot(max(taus), tau_ref)
-    spec = GridSpec(
-        births.min() - pad, births.max() + pad, deaths.min() - pad, deaths.max() + pad, *grid
-    )
+    spec = box_spec(births, deaths, pad_factor * math.hypot(max(taus), tau_ref), *grid)
 
     def smoothed(tau):
         # All pairs form one pooled "diagram".

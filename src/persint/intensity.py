@@ -31,46 +31,35 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .field import GridSpec, _fmt, _read_rows, _read_spec_block, _write_rows
+from .field import (
+    GridSpec,
+    box_spec,
+    _fmt,
+    _gaussian_rows,
+    _read_header,
+    _read_rows,
+    _read_spec_block,
+    _write_rows,
+    _write_spec_block,
+)
 from .persistence import PersistenceDiagram
-
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Pair weight w = g(dim) * lifetime.
+    """Pair weight w = g0 * lifetime in dim 0 and g1 * lifetime in dim 1."""
 
-    ``g`` maps a homology dimension to a nonnegative multiplier (missing
-    dimensions default to 1).
-    """
-
-    g: tuple = ((0, 1.0), (1, 1.0))
+    g0: float = 1.0
+    g1: float = 1.0
 
     def __post_init__(self):
-        g = tuple(sorted((int(d), float(v)) for d, v in dict(self.g).items()))
-        for d, v in g:
+        for name in ("g0", "g1"):
+            v = float(getattr(self, name))
             if not (math.isfinite(v) and v >= 0):
-                raise InvalidParameterError(f"g({d}) must be finite and >= 0, got {v}")
-        object.__setattr__(self, "g", g)
-
-    def g_of(self, dim):
-        return dict(self.g).get(int(dim), 1.0)
+                raise InvalidParameterError(f"{name} must be finite and >= 0, got {v}")
+            object.__setattr__(self, name, v)
 
 
 DEFAULT_WEIGHTS = WeightSpec()
-
-
-def weight_spec(g0=1.0, g1=1.0):
-    """WeightSpec with multipliers g0 and g1 for dims 0 and 1."""
-    return WeightSpec(g=((0, g0), (1, g1)))
-
-
-def weight_eval(w, dim, lifetime):
-    """Evaluate g(dim) * lifetime."""
-    if lifetime < 0:
-        raise InvalidInputError(f"lifetime must be >= 0, got {lifetime}")
-    return w.g_of(dim) * lifetime
 
 
 def pooled_pairs(diagrams, w=DEFAULT_WEIGHTS):
@@ -81,8 +70,8 @@ def pooled_pairs(diagrams, w=DEFAULT_WEIGHTS):
     dims, births, deaths = (np.concatenate(c) for c in columns)
     counts = np.array([len(d) for d in diagrams], dtype=np.int64)
     weights = deaths - births  # the lifetimes, weighted in place below
-    for d, v in w.g:
-        weights[dims == d] *= v
+    weights[dims == 0] *= w.g0
+    weights[dims == 1] *= w.g1
     return births, deaths, weights, counts
 
 
@@ -128,17 +117,7 @@ class IntensityGrid:
 def default_intensity_spec(diagrams, tau, nx=128, ny=128, pad_factor=4.0):
     """Grid covering the bounding box of all pairs, expanded by pad_factor*tau."""
     births, deaths, _, _ = pooled_pairs(diagrams)
-    if not births.size:
-        raise InvalidInputError("cannot derive intensity bounds: no pairs in any diagram")
-    pad = pad_factor * tau
-    return GridSpec(
-        x_lo=float(births.min()) - pad,
-        x_hi=float(births.max()) + pad,
-        y_lo=float(deaths.min()) - pad,
-        y_hi=float(deaths.max()) + pad,
-        nx=nx,
-        ny=ny,
-    )
+    return box_spec(births, deaths, pad_factor * tau, nx, ny)
 
 
 # The smoothing kernel's two work arrays stay near this size: averages
@@ -149,10 +128,6 @@ _CHUNK_BYTES = 1 << 19
 
 def _grids_per_chunk(spec):
     return max(1, _CHUNK_BYTES // (8 * spec.nx * spec.ny))
-
-
-def _gaussian_rows(centers, nodes, tau):
-    return np.exp(-0.5 * ((centers[:, None] - nodes[None, :]) / tau) ** 2) / SQRT_TWO_PI
 
 
 def smooth_pooled(births, deaths, weights, counts, tau, spec, work=None):
@@ -206,26 +181,27 @@ def smooth_pooled(births, deaths, weights, counts, tau, spec, work=None):
     return sums, np.argsort(order)
 
 
-def mean_intensity_values(diagrams, tau, spec, w=DEFAULT_WEIGHTS):
-    """Pointwise mean of the smoothed intensities of an iterable of diagrams.
+def mean_intensity_values(births, deaths, weights, counts, tau, spec):
+    """Pointwise mean of the smoothed intensities of diagrams given as
+    pooled pair arrays (see :func:`pooled_pairs`).
 
-    Diagrams are drawn and smoothed a batch per pass and their grids added
-    in diagram order, so no grid object is built per diagram and at most one
-    batch is held; each batch is checked once.
+    The diagrams are smoothed a batch per pass and their grids added in
+    diagram order, so no grid object is built per diagram; each batch is
+    checked once.
     """
     acc = np.zeros((spec.nx, spec.ny))
     size = _grids_per_chunk(spec)
     # One work array for all batches: fresh ones cost page faults per batch.
     work = np.empty((2, size, spec.nx, spec.ny))
-    diagrams = iter(diagrams)
-    count = 0
-    while batch := list(itertools.islice(diagrams, size)):
-        grids, slots = smooth_pooled(*pooled_pairs(batch, w), tau, spec, work)
+    edges = np.concatenate([[0], np.cumsum(counts)])  # each diagram's first pair
+    for k in range(0, len(counts), size):
+        lo, hi = edges[k], edges[min(k + size, len(counts))]
+        pairs = births[lo:hi], deaths[lo:hi], weights[lo:hi], counts[k : k + size]
+        grids, slots = smooth_pooled(*pairs, tau, spec, work)
         _check_values(grids)
         for slot in slots:
             acc += grids[slot]
-        count += len(batch)
-    acc /= count
+    acc /= len(counts)
     return acc
 
 
@@ -251,8 +227,8 @@ def intensity_at(diagram, tau, points, w=DEFAULT_WEIGHTS):
     births, deaths, wts, _ = pooled_pairs([diagram], w)
     if births.size == 0:
         return np.zeros(pts.shape[0])
-    kx = np.exp(-0.5 * ((pts[:, 0][:, None] - births[None, :]) / tau) ** 2) / SQRT_TWO_PI
-    ky = np.exp(-0.5 * ((pts[:, 1][:, None] - deaths[None, :]) / tau) ** 2) / SQRT_TWO_PI
+    kx = _gaussian_rows(pts[:, 0], births, tau)
+    ky = _gaussian_rows(pts[:, 1], deaths, tau)
     return (kx * ky) @ wts / (tau * tau)
 
 
@@ -291,14 +267,9 @@ def average_intensity(grids):
 def write_intensity(grid, path):
     """Write an intensity grid: spec block, tau/weight block, row-major values."""
     with open(path, "w", newline="") as fh:
-        fh.write("kind,x_lo,x_hi,y_lo,y_hi,nx,ny\n")
-        s = grid.spec
-        fh.write(
-            f"intensity,{_fmt(s.x_lo)},{_fmt(s.x_hi)},{_fmt(s.y_lo)},{_fmt(s.y_hi)},"
-            f"{s.nx},{s.ny}\n"
-        )
+        _write_spec_block(fh, "intensity", grid.spec)
         fh.write("tau,g0,g1\n")
-        fh.write(f"{_fmt(grid.tau)},{_fmt(grid.weights.g_of(0))},{_fmt(grid.weights.g_of(1))}\n")
+        fh.write(f"{_fmt(grid.tau)},{_fmt(grid.weights.g0)},{_fmt(grid.weights.g1)}\n")
         _write_rows(fh, grid.values)
 
 
@@ -307,15 +278,13 @@ def read_intensity(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         _, spec = _read_spec_block(reader, path, kinds=("intensity",))
-        meta_header = next(reader, None)
-        if meta_header is None or [h.strip() for h in meta_header] != ["tau", "g0", "g1"]:
-            raise CsvFormatError(path, 3, "expected metadata header 'tau,g0,g1'")
+        _read_header(reader, path, "tau,g0,g1", line=3)
         meta = next(reader, None)
         if meta is None or len(meta) != 3:
             raise CsvFormatError(path, 4, "expected a 3-column tau/weight row")
         try:
             tau = float(meta[0])
-            w = weight_spec(float(meta[1]), float(meta[2]))
+            w = WeightSpec(float(meta[1]), float(meta[2]))
         except ValueError as exc:
             raise CsvFormatError(path, 4, f"bad value: {exc}") from None
         vals = _read_rows(reader, path, spec, first_line=5)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CsvFormatError, InvalidInputError, InvalidParameterError
-from .field import _write_rows
+from .field import _read_header, _write_rows
 
 DIRECTIONS = ("superlevel", "sublevel")
 
@@ -248,9 +248,7 @@ def read_diagram(path, direction="superlevel"):
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["dim", "birth", "death"]:
-            raise CsvFormatError(path, 1, "expected header 'dim,birth,death'")
+        _read_header(reader, path, "dim,birth,death")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue

@@ -23,16 +23,16 @@ import numpy as np
 
 from . import __version__
 from .analyze import classical_mds, distance_matrix, write_embedding, write_matrix
+from .config import DEFAULT_GENERATOR
 from .errors import InvalidParameterError, StageError
 from .field import GridSpec, _write_rows, default_kde_spec, kde_grid, write_field
 from .inference import (
     field_diagram_source,
     mise_study,
-    population_field_spec,
     power_study,
     synthetic_diagram_source,
 )
-from .intensity import default_intensity_spec, smooth_diagram, weight_spec, write_intensity
+from .intensity import WeightSpec, default_intensity_spec, smooth_diagram, write_intensity
 from .persistence import compute_persistence, write_diagram
 from .seeding import child_seed
 from .synth import generate_population, write_cloud
@@ -120,7 +120,7 @@ def run_fig2(config, out_dir=None):
     out = _resolve_out_dir(config, out_dir)
     manifest = _new_manifest(config)
     master = config.master_seed()
-    weights = weight_spec(config.g0, config.g1)
+    weights = WeightSpec(config.g0, config.g1)
     save = config.save_intermediates
 
     labels = [pop for pop in FIG2_POPULATIONS for _ in range(config.N)]
@@ -225,27 +225,18 @@ def run_fig4(config, out_dir=None):
 
 
 def make_generator(spec_dict):
-    """Diagram source from a config ``generator`` object."""
-    kind = spec_dict.get("kind", "field")
+    """Diagram source from a validated config ``generator`` object.
+
+    Its keys other than ``kind`` are the source function's arguments; an
+    absent one takes that function's default, except a field grid's, which
+    is ``DEFAULT_GENERATOR``'s.
+    """
+    params = dict(spec_dict)
+    kind = params.pop("kind", "field")
     if kind == "field":
-        population = spec_dict.get("population", "uniform")
-        h = spec_dict.get("h", 0.25)
-        nx, ny = spec_dict.get("grid", [48, 48])
-        return field_diagram_source(
-            population=population,
-            n=spec_dict.get("n", 60),
-            h=h,
-            q=spec_dict.get("q", 0.0),
-            spec=population_field_spec(population, h, nx, ny),
-            max_dim=0,
-        )
+        return field_diagram_source(**{"grid": DEFAULT_GENERATOR["grid"], **params})
     if kind == "synthetic":
-        return synthetic_diagram_source(
-            mean_pairs=spec_dict.get("mean_pairs", 8.0),
-            birth_center=spec_dict.get("birth_center", 0.4),
-            birth_sd=spec_dict.get("birth_sd", 0.1),
-            life_mean=spec_dict.get("life_mean", 0.15),
-        )
+        return synthetic_diagram_source(**params)
     raise InvalidParameterError(f"unknown generator kind {kind!r}")
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, InvalidInputError, InvalidParameterError
-from .field import _write_rows
+from .errors import InvalidInputError, InvalidParameterError
+from .field import _read_float_rows, _read_header, _write_rows
 from .seeding import TWO_PI, gauss_pair, make_rng, pick_index
 
 CIRCLE_CENTERS = ((0.0, 0.0),)
@@ -171,19 +171,7 @@ def write_cloud(cloud, path):
 
 def read_cloud(path):
     """Read a point cloud written by :func:`write_cloud`."""
-    pts = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y"]:
-            raise CsvFormatError(path, 1, "expected header 'x,y'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvFormatError(path, lineno, f"expected 2 columns, got {len(row)}")
-            try:
-                pts.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise CsvFormatError(path, lineno, f"bad float: {exc}") from None
-    return PointCloud(np.array(pts, dtype=np.float64).reshape(-1, 2))
+        _read_header(reader, path, "x,y")
+        return PointCloud(_read_float_rows(reader, path, first_line=2, width=2))

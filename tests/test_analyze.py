@@ -20,6 +20,7 @@ from persint.analyze import (
     write_matrix,
 )
 from persint.errors import (
+    CsvFormatError,
     DegenerateGraphError,
     IncompatibleGridsError,
     InvalidInputError,
@@ -276,6 +277,22 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix(m, path)
     assert np.array_equal(read_matrix(path), m)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("0.0,1.0\n\n1.0,0.0\n1.0,nan\n-inf,1\n", 4, "values must be finite, got nan"),
+        ("0.0,1.0\n\n1.0,0.0,2.0\n", 3, "expected 2 columns, got 3"),
+        ("\n\n", 1, "empty matrix file"),
+    ],
+)
+def test_matrix_csv_names_the_bad_line(tmp_path, text, line, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as err:
+        read_matrix(path)
+    assert (err.value.path, err.value.line, err.value.message) == (str(path), line, message)
 
 
 def test_embedding_csv(tmp_path):

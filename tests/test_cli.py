@@ -385,6 +385,21 @@ def test_run_fig2_cli_and_exit_codes(tmp_path):
     assert main(["synth", "--pop", "unknown-pop", "--n", "3", "--out", "x.csv"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        (["field", "--mode", "kde", "--h", "0.3"], "x,y\n0.0,0.0\nnan,1.0\n", 3),
+        (["persist"], "kind,x_lo,x_hi,y_lo,y_hi,nx,ny\ndensity,0,1,0,1,2,2\n0,1\n1,nan\n", 4),
+        (["analyze", "mds", "--k", "1"], "0.0,1.0\n1.0,nan\n", 2),
+    ],
+)
+def test_cli_names_file_and_line_of_a_nan(tmp_path, capsys, command, text, line):
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    assert main([*command, "--in", str(src), "--out", str(tmp_path / "out.csv")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {src}:{line}: values must be finite")
+
+
 def test_stage_reload_equivalence(tmp_path):
     """Re-running downstream stages from saved intermediates reproduces the
     end-to-end artifacts byte for byte."""

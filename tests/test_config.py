@@ -116,3 +116,269 @@ def test_generator_validation():
     raw["generator"] = {"kind": "field", "grid": [1, 1]}
     errors = validate_config_dict(raw)
     assert any(e.startswith("generator.grid:") for e in errors)
+
+
+FIG2 = {"experiment": "fig2", "n": 10, "N": 2, "h": 0.1, "tau": 0.1}
+MISE = {"experiment": "mise", "N_values": [4, 8], "tau_scale": 0.2, "reps": 1}
+GRID_MSG = "must be [nx, ny] with integer nx, ny >= 2"
+
+# One violating config per rule, with the exact messages in report order.
+PINNED_VIOLATIONS = [
+    ([1, 2], ["config root must be a JSON object"]),
+    (
+        dict(FIG2, zz=1, aa=2),
+        ["aa: unknown configuration key", "zz: unknown configuration key"],
+    ),
+    (
+        {"experiment": "fig3", "bogus": 1},
+        [
+            "bogus: unknown configuration key",
+            "experiment: must be one of ('fig2', 'fig4', 'mise', 'custom'), got 'fig3'",
+        ],
+    ),
+    (
+        {"experiment": "fig4", "n": None},
+        [
+            f"{k}: required for experiment 'fig4'"
+            for k in ("n", "N", "h", "tau", "q_values", "B", "trials")
+        ],
+    ),
+    (
+        {"experiment": "mise"},
+        [f"{k}: required for experiment 'mise'" for k in ("N_values", "tau_scale", "reps")],
+    ),
+    ({"experiment": "custom"}, []),
+    (dict(FIG2, seed=-1), ["seed: must be a 64-bit unsigned integer, got -1"]),
+    (dict(FIG2, seed=2**64), [f"seed: must be a 64-bit unsigned integer, got {2**64}"]),
+    (dict(FIG2, seed=1.0), ["seed: must be a 64-bit unsigned integer, got 1.0"]),
+    (dict(FIG2, seed=None, out_dir=None, field_bounds=None), []),
+    (dict(FIG2, threads=0), ["threads: must be an integer >= 1, got 0"]),
+    (dict(FIG2, threads=None), ["threads: must be an integer >= 1, got None"]),
+    (dict(FIG2, n=0), ["n: must be an integer >= 1, got 0"]),
+    (dict(FIG2, N=1.5), ["N: must be an integer >= 1, got 1.5"]),
+    (dict(FIG2, h=0), ["h: must be a float > 0, got 0"]),
+    (dict(FIG2, tau="x"), ["tau: must be a float > 0, got 'x'"]),
+    (dict(FIG2, field_grid=[1, 2]), [f"field_grid: {GRID_MSG}, got [1, 2]"]),
+    (dict(FIG2, intensity_grid=None), [f"intensity_grid: {GRID_MSG}, got None"]),
+    (
+        dict(FIG2, field_bounds=[0, 1, 1, 0]),
+        ["field_bounds: must be [x_lo, x_hi, y_lo, y_hi] with lo < hi, got [0, 1, 1, 0]"],
+    ),
+    (dict(FIG2, max_dim=2), ["max_dim: must be 0 or 1, got 2"]),
+    (dict(FIG2, g0=-1), ["g0: must be a number >= 0, got -1"]),
+    (dict(FIG2, g1="a"), ["g1: must be a number >= 0, got 'a'"]),
+    (dict(FIG4_PAPER, q_values=[]), ["q_values: must be a nonempty list, got []"]),
+    (
+        dict(FIG4_PAPER, q_values=[0.5, 2, "a"]),
+        ["q_values[1]: must lie in [0, 1], got 2", "q_values[2]: must lie in [0, 1], got 'a'"],
+    ),
+    (dict(FIG4_PAPER, B=0), ["B: must be an integer >= 1, got 0"]),
+    (dict(FIG4_PAPER, trials=0.5), ["trials: must be an integer >= 1, got 0.5"]),
+    (dict(FIG4_PAPER, alphas=None), ["alphas: must be a nonempty list, got None"]),
+    (
+        dict(FIG4_PAPER, alphas=[0, 0.5, 1]),
+        ["alphas[0]: must lie in (0, 1), got 0", "alphas[2]: must lie in (0, 1), got 1"],
+    ),
+    (dict(MISE, N_values="x"), ["N_values: must be a nonempty list, got 'x'"]),
+    (
+        dict(MISE, N_values=[0, 2.5]),
+        [
+            "N_values[0]: must be an integer >= 1, got 0",
+            "N_values[1]: must be an integer >= 1, got 2.5",
+        ],
+    ),
+    (dict(MISE, tau_scale=0), ["tau_scale: must be a float > 0, got 0"]),
+    (dict(MISE, reps=0), ["reps: must be an integer >= 1, got 0"]),
+    (dict(MISE, N_ref=1), ["N_ref: must be an integer >= 2, got 1"]),
+    (dict(MISE, N_ref=8), ["N_ref: must exceed the largest N in N_values, got 8"]),
+    # The cross-check needs integer N_values, valid or not.
+    (
+        dict(MISE, N_ref=8, N_values=[0, 8.0]),
+        [
+            "N_values[0]: must be an integer >= 1, got 0",
+            "N_values[1]: must be an integer >= 1, got 8.0",
+        ],
+    ),
+    (
+        dict(MISE, N_ref=5, N_values=[0, 9], tau_ref=0),
+        [
+            "N_values[0]: must be an integer >= 1, got 0",
+            "N_ref: must exceed the largest N in N_values, got 5",
+            "tau_ref: must be a float > 0, got 0",
+        ],
+    ),
+    (dict(MISE, tau_ref=-1.0), ["tau_ref: must be a float > 0, got -1.0"]),
+    (
+        dict(MISE, generator=None),
+        ["generator: must be an object with kind 'field' or 'synthetic', got None"],
+    ),
+    (
+        dict(MISE, generator={"kind": "x"}),
+        ["generator: must be an object with kind 'field' or 'synthetic', got {'kind': 'x'}"],
+    ),
+    (
+        dict(MISE, generator={"kind": "field", "grid": [2], "h": 0, "n": 0}),
+        [
+            f"generator.grid: {GRID_MSG}, got [2]",
+            "generator.h: must be a float > 0, got 0",
+            "generator.n: must be an integer >= 1, got 0",
+        ],
+    ),
+    (
+        dict(MISE, generator={"kind": "field", "h": None}),
+        ["generator.h: must be a float > 0, got None"],
+    ),
+    # Keys of other experiments are not checked.
+    (dict(MISE, h=-1, q_values="x", g0=-1), []),
+    (dict(FIG2, q_values="x", N_values=0, generator=None), []),
+    (dict(FIG2, experiment="custom", n=0, B=0), ["n: must be an integer >= 1, got 0"]),
+    # Every violation at once keeps the report order.
+    (
+        dict(
+            FIG4_PAPER, seed=-1, threads=0, n=0, N=0, h=0, tau=0, field_grid=0,
+            intensity_grid=0, field_bounds=0, max_dim=5, g0=-1, g1=-1, q_values=[5],
+            B=0, trials=0, alphas=[5], zz=0,
+        ),
+        [
+            "zz: unknown configuration key",
+            "seed: must be a 64-bit unsigned integer, got -1",
+            "threads: must be an integer >= 1, got 0",
+            "n: must be an integer >= 1, got 0",
+            "N: must be an integer >= 1, got 0",
+            "h: must be a float > 0, got 0",
+            "tau: must be a float > 0, got 0",
+            f"field_grid: {GRID_MSG}, got 0",
+            f"intensity_grid: {GRID_MSG}, got 0",
+            "field_bounds: must be [x_lo, x_hi, y_lo, y_hi] with lo < hi, got 0",
+            "max_dim: must be 0 or 1, got 5",
+            "g0: must be a number >= 0, got -1",
+            "g1: must be a number >= 0, got -1",
+            "q_values[0]: must lie in [0, 1], got 5",
+            "B: must be an integer >= 1, got 0",
+            "trials: must be an integer >= 1, got 0",
+            "alphas[0]: must lie in (0, 1), got 5",
+        ],
+    ),
+    (
+        dict(MISE, N_values=[0], tau_scale=0, reps=0, N_ref=0, tau_ref=0,
+             generator={"kind": "field", "grid": 0, "h": 0, "n": 0}),
+        [
+            "N_values[0]: must be an integer >= 1, got 0",
+            "tau_scale: must be a float > 0, got 0",
+            "reps: must be an integer >= 1, got 0",
+            "N_ref: must be an integer >= 2, got 0",
+            "tau_ref: must be a float > 0, got 0",
+            f"generator.grid: {GRID_MSG}, got 0",
+            "generator.h: must be a float > 0, got 0",
+            "generator.n: must be an integer >= 1, got 0",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, expected", PINNED_VIOLATIONS)
+def test_validator_messages_are_pinned(raw, expected):
+    assert validate_config_dict(raw) == expected
+
+
+def _generator(**keys):
+    return dict(MISE, generator=keys)
+
+
+# The configs that validated before the rule table and are rejected now.
+NEW_REJECTIONS = [
+    *[
+        (dict(base, **{key: True}), [f"{key}: must be an integer >= {lo}, got True"])
+        for base, key, lo in [
+            (FIG2, "n", 1), (FIG2, "N", 1), (FIG2, "threads", 1), (FIG4_PAPER, "B", 1),
+            (FIG4_PAPER, "trials", 1), (MISE, "reps", 1),
+        ]
+    ],
+    (dict(MISE, N_ref=True), ["N_ref: must be an integer >= 2, got True"]),  # already rejected
+    (dict(MISE, N_values=[4, True]), ["N_values[1]: must be an integer >= 1, got True"]),
+    (dict(FIG2, seed=True), ["seed: must be a 64-bit unsigned integer, got True"]),
+    (_generator(kind="field", n=True), ["generator.n: must be an integer >= 1, got True"]),
+    (dict(FIG2, save_intermediates="no"), ["save_intermediates: must be true or false, got 'no'"]),
+    (dict(FIG2, save_intermediates=None), ["save_intermediates: must be true or false, got None"]),
+    (dict(MISE, out_dir=5), ["out_dir: must be a string, got 5"]),
+    (
+        _generator(kind="field", population="torus", q=1.5, mean_pairs=3),
+        [
+            "generator.mean_pairs: unknown configuration key",
+            "generator.population: must be one of "
+            "('circle', 'three-circles', 'gauss3', 'uniform', 'contaminated'), got 'torus'",
+            "generator.q: must lie in [0, 1], got 1.5",
+        ],
+    ),
+    (
+        _generator(kind="synthetic", mean_pair=3, mean_pairs=0, birth_center="x", birth_sd=-0.1,
+                   life_mean=0, grid=[8, 8]),
+        [
+            "generator.grid: unknown configuration key",
+            "generator.mean_pair: unknown configuration key",
+            "generator.mean_pairs: must be a float > 0, got 0",
+            "generator.birth_center: must be a number, got 'x'",
+            "generator.birth_sd: must be a number >= 0, got -0.1",
+            "generator.life_mean: must be a float > 0, got 0",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, expected", NEW_REJECTIONS)
+def test_new_rejections(raw, expected):
+    assert validate_config_dict(raw) == expected
+
+
+def test_generator_keys_of_each_kind_validate():
+    field_gen = {"kind": "field", "population": "circle", "n": 5, "h": 0.2, "q": 0.5,
+                 "grid": [8, 8]}
+    synthetic = {"kind": "synthetic", "mean_pairs": 3, "birth_center": -1, "birth_sd": 0,
+                 "life_mean": 0.2}
+    for gen in (field_gen, synthetic, {"kind": "field"}, {"kind": "synthetic"}):
+        assert validate_config_dict(_generator(**gen)) == []
+    assert validate_config_dict(dict(FIG2, save_intermediates=False, out_dir="out", seed=0)) == []
+
+
+def _readme():
+    from pathlib import Path
+
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _table_rows(table):
+    """Cells of each body row of a Markdown table."""
+    return [[cell.strip() for cell in row.split("|")[1:-1]] for row in table.splitlines()[2:]]
+
+
+def test_readme_documents_every_config_key():
+    import inspect
+    import re
+
+    from persint.config import _FIELD_NAMES, _GENERATOR_RULES, _RULES, DEFAULT_GENERATOR
+    from persint.inference import field_diagram_source, synthetic_diagram_source
+
+    schema = _readme().split("### Config schema", 1)[1]
+    keys_table, generator_table = re.findall(r"(?:^\|.*\n)+", schema, flags=re.M)[:2]
+    keys = [k for row in _table_rows(keys_table) for k in re.findall(r"`([^`]+)`", row[0])]
+    assert sorted(keys) == sorted(_FIELD_NAMES) and len(keys) == len(set(keys))
+    assert set(_RULES) == _FIELD_NAMES - {"experiment"}  # every key has its rule
+
+    # Generator keys per kind, with the source function's default.
+    sources = {"field": field_diagram_source, "synthetic": synthetic_diagram_source}
+    listed = {kind: {} for kind in _GENERATOR_RULES}
+    for key, kind, default, _ in _table_rows(generator_table):
+        listed[kind.strip("`")][key.strip("`")] = json.loads(default.strip("`"))
+    for kind, rules in _GENERATOR_RULES.items():
+        assert sorted(listed[kind]) == sorted(rules), kind
+        params = inspect.signature(sources[kind]).parameters
+        for key, default in listed[kind].items():
+            want = DEFAULT_GENERATOR["grid"] if key == "grid" else params[key].default
+            assert default == want, (kind, key)
+
+
+def test_readme_fig4_example_validates():
+    block = _readme().split("Example fig4 config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    raw = json.loads(block)
+    assert raw["experiment"] == "fig4"
+    assert validate_config_dict(raw) == []

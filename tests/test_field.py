@@ -161,6 +161,18 @@ def test_field_csv_rejects_trailing_data(tmp_path):
     assert err.value.line == 6  # header, spec, two value rows, blank, extra row
 
 
+@pytest.mark.parametrize("bad", ["nan", "-inf", "-0.5"])
+def test_field_csv_rejects_nonfinite_and_negative_values(tmp_path, bad):
+    path = tmp_path / "field.csv"
+    spec_block = "kind,x_lo,x_hi,y_lo,y_hi,nx,ny\ndensity,0,1,0,1,3,2\n"
+    path.write_text(f"{spec_block}1.0,2.0\n-0.0,{bad}\n{bad},1\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_field(path)
+    assert err.value.line == 4  # the first row that holds a bad value
+    assert err.value.path == str(path)
+    assert err.value.message == f"values must be finite and >= 0, got {float(bad)!r}"
+
+
 def test_grid_field_validation():
     spec = GridSpec(0, 1, 0, 1, 2, 2)
     with pytest.raises(InvalidInputError):

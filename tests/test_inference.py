@@ -33,7 +33,6 @@ from persint.intensity import (
     average_intensity,
     default_intensity_spec,
     smooth_diagram,
-    weight_eval,
 )
 from persint.analyze import l1_distance
 from persint.persistence import PersistenceDiagram, PersistencePair
@@ -425,7 +424,8 @@ def _einsum_smooth(births, deaths, weights, tau, spec):
 
 
 def _frozen_weights(diagram):
-    return np.array([weight_eval(DEFAULT_WEIGHTS, p.dim, p.lifetime) for p in diagram.pairs])
+    g = (DEFAULT_WEIGHTS.g0, DEFAULT_WEIGHTS.g1)
+    return np.array([g[p.dim] * p.lifetime for p in diagram.pairs])
 
 
 def _frozen_mean(diagrams, tau, spec):
@@ -437,10 +437,10 @@ def _frozen_mean(diagrams, tau, spec):
     return acc
 
 
-def _frozen_mise(source, n_values, tau_scale, reps, seed, n_ref, grid):
+def _frozen_mise(source, n_values, tau_scale, reps, seed, n_ref, grid, pad_factor=4.0):
     taus = [tau_scale * v ** (-1.0 / 6.0) for v in n_values]
     ref_diagrams = [source(child_seed(seed, 0, i)) for i in range(n_ref)]
-    spec = default_intensity_spec(ref_diagrams, max(taus), *grid)
+    spec = default_intensity_spec(ref_diagrams, max(taus), *grid, pad_factor=pad_factor)
     ref = _frozen_mean(ref_diagrams, 0.5 * min(taus), spec)
     out = []
     for ni, n_diag in enumerate(n_values):
@@ -458,6 +458,8 @@ def test_mise_study_equals_per_diagram_loop():
     args = dict(n_values=(3, 17, 40), tau_scale=0.12, reps=2, seed=5)
     curve = mise_study(source, **args, n_ref=90, grid=(40, 36))
     assert curve.mise == _frozen_mise(source, **args, n_ref=90, grid=(40, 36))
+    curve = mise_study(source, **args, n_ref=90, grid=(40, 36), pad_factor=6.5)
+    assert curve.mise == _frozen_mise(source, **args, n_ref=90, grid=(40, 36), pad_factor=6.5)
 
 
 def test_tau_mise_sweep_equals_per_diagram_loop():

@@ -24,8 +24,6 @@ from persint.intensity import (
     read_intensity,
     smooth_diagram,
     smooth_pooled,
-    weight_eval,
-    weight_spec,
     write_intensity,
 )
 from persint.persistence import PersistenceDiagram
@@ -35,18 +33,27 @@ def _diag(pairs):
     return PersistenceDiagram.from_pairs(pairs)
 
 
-def test_weight_eval_examples():
-    assert weight_eval(DEFAULT_WEIGHTS, 0, 0.4) == pytest.approx(0.4, abs=0)
-    assert weight_eval(DEFAULT_WEIGHTS, 1, 0.0) == 0.0
-    five = weight_spec(g0=1.0, g1=5.0)
-    assert weight_eval(five, 1, 0.2) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(InvalidInputError):
-        weight_eval(DEFAULT_WEIGHTS, 0, -0.1)
+def _pair_weight(w, dim, birth, death):
+    (weight,) = pooled_pairs([_diag([(dim, birth, death)])], w)[2].tolist()
+    return weight
+
+
+def test_pair_weight_examples():
+    assert _pair_weight(DEFAULT_WEIGHTS, 0, 0.0, 0.4) == 0.4
+    assert _pair_weight(DEFAULT_WEIGHTS, 1, 0.3, 0.3) == 0.0
+    five = WeightSpec(g0=1.0, g1=5.0)
+    assert _pair_weight(five, 1, 0.0, 0.2) == pytest.approx(1.0, rel=1e-15)
+    assert _pair_weight(five, 0, 0.0, 0.2) == 0.2
+    with pytest.raises(InvalidInputError):  # a negative lifetime
+        _diag([(0, 0.1, 0.0)])
 
 
 def test_weight_spec_validation():
-    with pytest.raises(InvalidParameterError):
-        WeightSpec(g=((0, -1.0),))
+    for g0, g1 in ((-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(InvalidParameterError):
+            WeightSpec(g0, g1)
+    assert WeightSpec(2, 0) == WeightSpec(2.0, 0.0)
+    assert type(WeightSpec(2, 0).g0) is float
 
 
 def test_empty_diagram_zero_grid():
@@ -119,7 +126,7 @@ def test_average_intensity_errors():
     c = IntensityGrid(spec, np.zeros((4, 4)), 0.2)
     with pytest.raises(IncompatibleGridsError):
         average_intensity([a, c])
-    d = IntensityGrid(spec, np.zeros((4, 4)), 0.1, weights=weight_spec(g1=5.0))
+    d = IntensityGrid(spec, np.zeros((4, 4)), 0.1, weights=WeightSpec(g1=5.0))
     with pytest.raises(IncompatibleGridsError):
         average_intensity([a, d])
     with pytest.raises(InvalidInputError):
@@ -149,7 +156,7 @@ def test_pair_sum():
 
 def test_intensity_csv_round_trip(tmp_path):
     diag = _diag([(0, 0.2, 0.5), (1, 0.3, 0.9)])
-    grid = smooth_diagram(diag, 0.1, w=weight_spec(1.0, 5.0), spec=GridSpec(0, 1, 0, 1, 9, 7))
+    grid = smooth_diagram(diag, 0.1, w=WeightSpec(1.0, 5.0), spec=GridSpec(0, 1, 0, 1, 9, 7))
     path = tmp_path / "intensity.csv"
     write_intensity(grid, path)
     back = read_intensity(path)
@@ -178,6 +185,20 @@ def test_intensity_csv_rejects_trailing_data(tmp_path):
     assert err.value.line == 8  # four header lines, three value rows, extra row
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1e-300"])
+def test_intensity_csv_rejects_nonfinite_and_negative_values(tmp_path, bad):
+    grid = smooth_diagram(_diag([(0, 0.2, 0.5)]), 0.1, spec=GridSpec(0, 1, 0, 1, 3, 2))
+    path = tmp_path / "intensity.csv"
+    write_intensity(grid, path)
+    lines = path.read_text().splitlines()
+    lines[5] = f"0.0,{bad}"  # the second value row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_intensity(path)
+    assert (err.value.path, err.value.line) == (str(path), 6)
+    assert err.value.message == f"values must be finite and >= 0, got {float(bad)!r}"
+
+
 def test_default_intensity_spec_requires_pairs():
     with pytest.raises(InvalidInputError):
         default_intensity_spec([_diag([])], 0.1)
@@ -189,7 +210,7 @@ def _einsum_reference(diagram, tau, spec, w=DEFAULT_WEIGHTS):
     if not diagram.pairs:
         return np.zeros((spec.nx, spec.ny))
     _, births, deaths = diagram.arrays()
-    wts = np.array([weight_eval(w, p.dim, p.lifetime) for p in diagram.pairs])
+    wts = np.array([(w.g0, w.g1)[p.dim] * p.lifetime for p in diagram.pairs])
     root = math.sqrt(2.0 * math.pi)
     bx = np.exp(-0.5 * ((births[:, None] - spec.xs()[None, :]) / tau) ** 2) / root
     by = np.exp(-0.5 * ((deaths[:, None] - spec.ys()[None, :]) / tau) ** 2) / root
@@ -221,7 +242,8 @@ def _assert_kernel_exact(diagrams, tau, spec, w=DEFAULT_WEIGHTS):
     for diag in diagrams:
         acc += _einsum_reference(diag, tau, spec, w)
     acc /= len(diagrams)
-    assert mean_intensity_values(diagrams, tau, spec, w).tobytes() == acc.tobytes()
+    mean = mean_intensity_values(*pooled_pairs(diagrams, w), tau, spec)
+    assert mean.tobytes() == acc.tobytes()
 
 
 def test_kernel_bit_exact_on_edge_diagrams():
@@ -240,8 +262,8 @@ def test_kernel_bit_exact_on_edge_diagrams():
 def test_kernel_bit_exact_with_mixed_dims_and_weights():
     spec = GridSpec(-0.5, 2.0, -0.5, 2.5, 23, 29)
     diagrams = _random_diagrams(3, 9)
-    _assert_kernel_exact(diagrams, 0.07, spec, w=weight_spec(g0=0.5, g1=3.0))
-    _assert_kernel_exact(diagrams, 0.07, spec, w=weight_spec(g0=-0.0, g1=3.0))  # -0.0 terms
+    _assert_kernel_exact(diagrams, 0.07, spec, w=WeightSpec(g0=0.5, g1=3.0))
+    _assert_kernel_exact(diagrams, 0.07, spec, w=WeightSpec(g0=-0.0, g1=3.0))  # -0.0 terms
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -260,15 +282,14 @@ def test_kernel_bit_exact_on_128_grids():
     _assert_kernel_exact(diagrams, 0.1, spec)
 
 
-def test_pooled_weights_match_weight_eval():
+def test_pooled_weights_match_per_pair_weights():
     diagrams = _random_diagrams(8, 4, max_pairs=20)
-    w = WeightSpec(g=((0, 0.25), (1, 4.0)))
-    for spec_w in (DEFAULT_WEIGHTS, weight_spec(2.0, 0.5), w):
+    for spec_w in (DEFAULT_WEIGHTS, WeightSpec(2.0, 0.5), WeightSpec(0.25, 4.0)):
         births, deaths, weights, counts = pooled_pairs(diagrams, spec_w)
         pairs = [p for d in diagrams for p in d.pairs]
         assert births.tolist() == [p.birth for p in pairs]
         assert deaths.tolist() == [p.death for p in pairs]
-        assert weights.tolist() == [weight_eval(spec_w, p.dim, p.lifetime) for p in pairs]
+        assert weights.tolist() == [(spec_w.g0, spec_w.g1)[p.dim] * p.lifetime for p in pairs]
         assert counts.tolist() == [len(d) for d in diagrams]
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from persint.config import config_from_dict
@@ -169,3 +170,19 @@ def test_make_generator_kinds():
     assert synth_src(3).multiset() == synth_src(3).multiset()
     with pytest.raises(InvalidParameterError):
         make_generator({"kind": "nope"})
+
+
+def test_make_generator_defaults():
+    from persint.inference import field_diagram_source, synthetic_diagram_source
+
+    # The defaults a generator object without keys has always had.
+    expected = {
+        "field": field_diagram_source(population="uniform", n=60, h=0.25, q=0.0, grid=(48, 48)),
+        "synthetic": synthetic_diagram_source(
+            mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, life_mean=0.15
+        ),
+    }
+    for kind, source in expected.items():
+        for seed in (1, 2):
+            got = make_generator({"kind": kind})(seed).arrays()
+            assert all(np.array_equal(a, b) for a, b in zip(got, source(seed).arrays()))

@@ -157,6 +157,16 @@ def test_cloud_csv_errors(tmp_path):
         read_cloud(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cloud_csv_rejects_nonfinite_values(tmp_path, bad):
+    path = tmp_path / "cloud.csv"
+    path.write_text(f"x,y\n-1.0,2.0\n\n0.5,{bad}\n{bad},0\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_cloud(path)
+    assert (err.value.path, err.value.line) == (str(path), 4)  # the blank line counts
+    assert err.value.message == f"values must be finite, got {float(bad)!r}"
+
+
 def test_pointcloud_rejects_nonfinite():
     from persint.errors import InvalidInputError
 
