@@ -1,7 +1,6 @@
 """Comparing collections of intensity grids: L1 distances, classical MDS,
 normalized-cut spectral embedding, and k-means."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,7 @@ from .errors import (
     InvalidParameterError,
     InvariantError,
 )
-from .field import _read_float_rows, _write_rows
+from .field import _open_csv, _read_float_rows, _write_csv
 from .seeding import make_rng, pick_index
 
 
@@ -259,14 +258,12 @@ def confusion_matrix(true_labels, assigned_labels, n_classes=None, n_clusters=No
 
 def write_matrix(matrix, path):
     """Plain CSV rows of a numeric matrix at full precision."""
-    m = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        _write_rows(fh, np.atleast_2d(m))
+    _write_csv(path, "", np.atleast_2d(np.asarray(matrix, dtype=np.float64)))
 
 
 def read_matrix(path):
-    with open(path, newline="") as fh:
-        rows = _read_float_rows(csv.reader(fh), path, first_line=1)
+    with _open_csv(path) as reader:
+        rows, _ = _read_float_rows(reader, path)
     if not rows.size:
         raise CsvFormatError(path, 1, "empty matrix file")
     return rows
@@ -275,7 +272,6 @@ def read_matrix(path):
 def write_embedding(embedding, path, labels=None):
     """Embedding CSV: id,c1,...,ck, optionally with a trailing label column."""
     coords = embedding.coords
-    with open(path, "w", newline="") as fh:
-        cols = ",".join(f"c{i + 1}" for i in range(coords.shape[1]))
-        fh.write(f"id,{cols}" + (",label\n" if labels is not None else "\n"))
-        _write_rows(fh, [[i, *row] for i, row in enumerate(coords.tolist())], labels)
+    cols = ",".join(f"c{i + 1}" for i in range(coords.shape[1]))
+    head = f"id,{cols}" + (",label\n" if labels is not None else "\n")
+    _write_csv(path, head, [[i, *row] for i, row in enumerate(coords.tolist())], labels)

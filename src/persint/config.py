@@ -85,7 +85,10 @@ _OPTIONAL = {"seed", "out_dir", "field_bounds", "N_ref", "tau_ref"}
 
 
 def _number(v, types=(int, float)):
-    return isinstance(v, types) and not isinstance(v, bool)
+    """Whether ``v`` is a finite number of ``types``; a bool is not a number."""
+    if not isinstance(v, types) or isinstance(v, bool):
+        return False
+    return isinstance(v, int) or math.isfinite(v)  # an int may be too large for a float
 
 
 def _items(v, size, item_ok):
@@ -99,13 +102,13 @@ def _at_least(lo):
 
 _POSITIVE = "must be a float > 0", lambda v: _number(v) and v > 0
 _NONNEGATIVE = "must be a number >= 0", lambda v: _number(v) and not v < 0
-_UNIT = "must lie in [0, 1]", lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0
-_LEVEL = "must lie in (0, 1)", lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0
+_UNIT = "must lie in [0, 1]", lambda v: _number(v) and 0.0 <= v <= 1.0
+_LEVEL = "must lie in (0, 1)", lambda v: _number(v) and 0.0 < v < 1.0
 _GRID = "must be [nx, ny] with integer nx, ny >= 2", lambda v: _items(v, 2, _at_least(2)[1])
 _SEED = "must be a 64-bit unsigned integer", lambda v: _number(v, int) and 0 <= v < 2**64
 _BOUNDS = (
     "must be [x_lo, x_hi, y_lo, y_hi] with lo < hi",
-    lambda v: _items(v, 4, lambda x: isinstance(x, (int, float))) and v[0] < v[1] and v[2] < v[3],
+    lambda v: _items(v, 4, _number) and v[0] < v[1] and v[2] < v[3],
 )
 
 # Keys of each generator kind; an absent key takes its diagram source's default.
@@ -146,7 +149,7 @@ _RULES = {
     "field_grid": (_STAGES, _GRID, False),
     "intensity_grid": (_STAGES, _GRID, False),
     "field_bounds": (_STAGES, _BOUNDS, False),
-    "max_dim": (_STAGES, ("must be 0 or 1", lambda v: v in (0, 1)), False),
+    "max_dim": (_STAGES, ("must be 0 or 1", lambda v: _number(v) and v in (0, 1)), False),
     "g0": (_STAGES, _NONNEGATIVE, False),
     "g1": (_STAGES, _NONNEGATIVE, False),
     "q_values": (("fig4",), _UNIT, True),

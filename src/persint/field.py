@@ -4,10 +4,13 @@ Grid convention: node (i, j) of a GridSpec sits at
 ``(x_lo + i*dx, y_lo + j*dy)`` with ``dx = (x_hi-x_lo)/(nx-1)``, and field
 values are stored as an (nx, ny) array indexed ``values[i, j]``.
 Integrals are node-centered Riemann sums, ``values.sum() * dx * dy``.
+
+This module also holds the CSV codec of every artifact: `_write_csv` and `_read_float_rows`.
 """
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,43 +148,53 @@ def distance_grid(cloud, spec):
     return GridField(spec=spec, values=np.sqrt(best), kind="distance")
 
 
-def _fmt(x):
-    return repr(float(x))
+def _spec_head(kind, s):
+    """The spec block that opens a field or intensity CSV; bounds are written as floats."""
+    bounds = ",".join(repr(float(v)) for v in (s.x_lo, s.x_hi, s.y_lo, s.y_hi))
+    return f"{_SPEC_HEADER}\n{kind},{bounds},{s.nx},{s.ny}\n"
+
+
+def _write_csv(path, head, rows, labels=None):
+    """Write a CSV artifact: the ``head`` text, then one line per row of numbers.
+
+    ``rows`` is a float array or an iterable of rows of Python ints and
+    floats, each written as its ``repr``: the shortest string that reads back
+    to the same double, so values round-trip exactly. With ``labels``, each
+    line ends with its row's label.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        if labels is None:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        else:
+            lines = zip(rows, labels, strict=True)
+            fh.writelines(f"{','.join(map(repr, row))},{label}\n" for row, label in lines)
 
 
 def write_field(field, path):
     """Write a field as CSV: a spec header block, then row-major values."""
-    with open(path, "w", newline="") as fh:
-        _write_spec_block(fh, field.kind, field.spec)
-        _write_rows(fh, field.values)
+    _write_csv(path, _spec_head(field.kind, field.spec), field.values)
 
 
-def _write_spec_block(fh, kind, s):
-    fh.write(f"{_SPEC_HEADER}\n")
-    fh.write(f"{kind},{_fmt(s.x_lo)},{_fmt(s.x_hi)},{_fmt(s.y_lo)},{_fmt(s.y_hi)},{s.nx},{s.ny}\n")
+@contextmanager
+def _open_csv(path, header=None):
+    """A csv reader over ``path``, past its checked ``header`` line if one is given."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if header is not None:
+                _read_header(reader, path, header)
+            yield reader
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise CsvFormatError(path, reader.line_num, str(exc)) from None
 
 
-def _write_rows(fh, rows, labels=None):
-    """Write numeric rows as CSV lines, every value as its ``repr``.
-
-    ``rows`` is a float array or a list of rows of Python ints and floats.
-    A float's ``repr`` is the shortest string that reads back to the same
-    double, so values round-trip exactly. With ``labels``, each line ends
-    with its row's label.
-    """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    if labels is None:
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-    else:
-        lines = zip(rows, labels, strict=True)
-        fh.writelines(f"{','.join(map(repr, row))},{label}\n" for row, label in lines)
-
-
-def _read_header(reader, path, header, line=1):
+def _read_header(reader, path, header):
     row = next(reader, None)
     if row is None or [h.strip() for h in row] != header.split(","):
-        raise CsvFormatError(path, line, f"expected header '{header}'")
+        raise CsvFormatError(path, reader.line_num + (row is None), f"expected header '{header}'")
 
 
 def _read_spec_block(reader, path, kinds):
@@ -206,63 +219,50 @@ def _read_spec_block(reader, path, kinds):
     return kind, spec
 
 
-def _read_rows(reader, path, spec, first_line):
-    vals = np.empty((spec.nx, spec.ny))
-    lineno = first_line - 1
-    for i in range(spec.nx):
-        row = next(reader, None)
-        lineno += 1
-        if row is None:
-            raise CsvFormatError(path, lineno, f"expected {spec.nx} value rows, got {i}")
-        if len(row) != spec.ny:
-            raise CsvFormatError(path, lineno, f"expected {spec.ny} columns, got {len(row)}")
-        try:
-            vals[i] = [float(v) for v in row]
-        except ValueError as exc:
-            raise CsvFormatError(path, lineno, f"bad float: {exc}") from None
+def _read_float_rows(reader, path, width=None, count=None, nonnegative=False):
+    """The next nonblank rows of ``reader`` as a 2D float array, with the
+    line number of each row.
+
+    Reads ``count`` rows, or every row to the end of the file, each
+    ``width`` values long (by default, as long as the first). Blank lines
+    are skipped. CsvFormatError names the first line that breaks this or
+    holds a value that is not finite, or negative if ``nonnegative``.
+    """
+    rows, lines = [], []
     for row in reader:
-        lineno += 1
-        if any(cell.strip() for cell in row):
-            raise CsvFormatError(path, lineno, f"unexpected data after {spec.nx} value rows")
-    _reject_bad_values(path, vals, range(first_line, first_line + spec.nx), nonnegative=True)
-    return vals
-
-
-def _reject_bad_values(path, vals, lines, nonnegative=False):
-    """CsvFormatError at the line of the first row of ``vals`` (read from
-    ``lines``) with a value that is not finite, or negative if ``nonnegative``."""
+        if not row:
+            continue
+        width = width or len(row)
+        if len(row) != width:
+            raise CsvFormatError(path, reader.line_num, f"expected {width} columns, got {len(row)}")
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError as exc:
+            raise CsvFormatError(path, reader.line_num, f"bad float: {exc}") from None
+        lines.append(reader.line_num)
+        if len(rows) == count:
+            break
+    if count is not None and len(rows) < count:
+        raise CsvFormatError(path, reader.line_num + 1, f"expected {count} rows, got {len(rows)}")
+    vals = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
     bad = ~np.isfinite(vals) | (nonnegative & (vals < 0))
     if bad.any():
         need = "finite and >= 0" if nonnegative else "finite"
         line = lines[int(bad.any(axis=1).argmax())]
         raise CsvFormatError(path, line, f"values must be {need}, got {float(vals[bad][0])!r}")
+    return vals, lines
 
 
-def _read_float_rows(reader, path, first_line, width=None):
-    """The nonblank CSV rows from ``first_line`` on as a 2D float array, each
-    ``width`` values long (by default, as long as the first). CsvFormatError
-    names the first line that breaks this or holds a non-finite value."""
-    rows, lines = [], []
-    for lineno, row in enumerate(reader, start=first_line):
-        if not row:
-            continue
-        width = width or len(row)
-        if len(row) != width:
-            raise CsvFormatError(path, lineno, f"expected {width} columns, got {len(row)}")
-        try:
-            rows.append(list(map(float, row)))
-        except ValueError as exc:
-            raise CsvFormatError(path, lineno, f"bad float: {exc}") from None
-        lines.append(lineno)
-    vals = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
-    _reject_bad_values(path, vals, lines)
+def _read_values(reader, path, spec):
+    """The nx rows of ny values >= 0 that end a field or intensity CSV."""
+    vals, _ = _read_float_rows(reader, path, spec.ny, spec.nx, nonnegative=True)
+    if any(any(cell.strip() for cell in row) for row in reader):
+        raise CsvFormatError(path, reader.line_num, f"unexpected data after {spec.nx} value rows")
     return vals
 
 
 def read_field(path):
     """Read a field written by :func:`write_field`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as reader:
         kind, spec = _read_spec_block(reader, path, FIELD_KINDS)
-        vals = _read_rows(reader, path, spec, first_line=3)
-    return GridField(spec=spec, values=vals, kind=kind)
+        return GridField(spec=spec, values=_read_values(reader, path, spec), kind=kind)

@@ -18,7 +18,6 @@ grid bit-identical however many diagrams share a pass.
 """
 
 import bisect
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,13 +33,14 @@ from .errors import (
 from .field import (
     GridSpec,
     box_spec,
-    _fmt,
     _gaussian_rows,
+    _open_csv,
+    _read_float_rows,
     _read_header,
-    _read_rows,
     _read_spec_block,
-    _write_rows,
-    _write_spec_block,
+    _read_values,
+    _spec_head,
+    _write_csv,
 )
 from .persistence import PersistenceDiagram
 
@@ -266,26 +266,19 @@ def average_intensity(grids):
 
 def write_intensity(grid, path):
     """Write an intensity grid: spec block, tau/weight block, row-major values."""
-    with open(path, "w", newline="") as fh:
-        _write_spec_block(fh, "intensity", grid.spec)
-        fh.write("tau,g0,g1\n")
-        fh.write(f"{_fmt(grid.tau)},{_fmt(grid.weights.g0)},{_fmt(grid.weights.g1)}\n")
-        _write_rows(fh, grid.values)
+    w = grid.weights
+    meta = f"tau,g0,g1\n{float(grid.tau)!r},{w.g0!r},{w.g1!r}\n"
+    _write_csv(path, _spec_head("intensity", grid.spec) + meta, grid.values)
 
 
 def read_intensity(path):
     """Read an intensity grid written by :func:`write_intensity`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as reader:
         _, spec = _read_spec_block(reader, path, kinds=("intensity",))
-        _read_header(reader, path, "tau,g0,g1", line=3)
-        meta = next(reader, None)
-        if meta is None or len(meta) != 3:
-            raise CsvFormatError(path, 4, "expected a 3-column tau/weight row")
-        try:
-            tau = float(meta[0])
-            w = WeightSpec(float(meta[1]), float(meta[2]))
-        except ValueError as exc:
-            raise CsvFormatError(path, 4, f"bad value: {exc}") from None
-        vals = _read_rows(reader, path, spec, first_line=5)
-    return IntensityGrid(spec=spec, values=vals, tau=tau, weights=w)
+        _read_header(reader, path, "tau,g0,g1")
+        meta, (line,) = _read_float_rows(reader, path, width=3, count=1, nonnegative=True)
+        tau, g0, g1 = meta[0].tolist()
+        if not tau > 0:
+            raise CsvFormatError(path, line, f"tau must be > 0, got {tau!r}")
+        vals = _read_values(reader, path, spec)
+    return IntensityGrid(spec=spec, values=vals, tau=tau, weights=WeightSpec(g0, g1))

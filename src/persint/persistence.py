@@ -21,14 +21,13 @@ A :class:`PersistenceDiagram` stores its pairs as three arrays, dims, births
 and deaths; :class:`PersistencePair` tuples are only a row view of them.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CsvFormatError, InvalidInputError, InvalidParameterError
-from .field import _read_header, _write_rows
+from .field import _open_csv, _read_float_rows, _write_csv
 
 DIRECTIONS = ("superlevel", "sublevel")
 
@@ -238,35 +237,19 @@ def compute_persistence(field, direction="superlevel", max_dim=1):
 
 def write_diagram(diagram, path):
     """Write pairs as CSV with header dim,birth,death at full precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("dim,birth,death\n")
-        _write_rows(fh, zip(*(a.tolist() for a in diagram.arrays())))
+    _write_csv(path, "dim,birth,death\n", zip(*(a.tolist() for a in diagram.arrays())))
 
 
 def read_diagram(path, direction="superlevel"):
     """Read a diagram written by :func:`write_diagram`."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, path, "dim,birth,death")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvFormatError(path, lineno, f"expected 3 columns, got {len(row)}")
-            try:
-                dim = int(row[0])
-                birth = float(row[1])
-                death = float(row[2])
-            except ValueError as exc:
-                raise CsvFormatError(path, lineno, f"bad value: {exc}") from None
-            if dim not in (0, 1):
-                raise CsvFormatError(path, lineno, f"dim must be 0 or 1, got {dim}")
-            if death < birth:
-                raise CsvFormatError(
-                    path, lineno, f"death {death!r} < birth {birth!r} (below diagonal)"
-                )
-            if not (np.isfinite(birth) and np.isfinite(death)):
-                raise CsvFormatError(path, lineno, "birth/death must be finite")
-            rows.append((dim, birth, death))
-    return PersistenceDiagram.from_pairs(rows, direction=direction)
+    with _open_csv(path, "dim,birth,death") as reader:
+        rows, lines = _read_float_rows(reader, path, width=3)
+    dims, births, deaths = rows.T
+    bad = (dims != 0) & (dims != 1) | (deaths < births)
+    if bad.any():
+        i = int(bad.argmax())
+        dim, birth, death = rows[i].tolist()
+        raise CsvFormatError(
+            path, lines[i], f"need dim 0 or 1 and death >= birth, got {dim!r},{birth!r},{death!r}"
+        )
+    return PersistenceDiagram(dims, births, deaths, direction=direction)

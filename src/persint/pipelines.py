@@ -25,7 +25,7 @@ from . import __version__
 from .analyze import classical_mds, distance_matrix, write_embedding, write_matrix
 from .config import DEFAULT_GENERATOR
 from .errors import InvalidParameterError, StageError
-from .field import GridSpec, _write_rows, default_kde_spec, kde_grid, write_field
+from .field import GridSpec, _write_csv, default_kde_spec, kde_grid, write_field
 from .inference import (
     field_diagram_source,
     mise_study,
@@ -198,10 +198,8 @@ def write_power_curve(config, path):
         intensity_grid=tuple(config.intensity_grid),
         threads=config.threads,
     )
-    with open(path, "w") as fh:
-        cols = ",".join(f"rate_{a}" for a in curve.alphas)
-        fh.write(f"q,{cols}\n")
-        _write_rows(fh, np.column_stack([curve.q_values, *curve.rates]))
+    cols = ",".join(f"rate_{a}" for a in curve.alphas)
+    _write_csv(path, f"q,{cols}\n", np.column_stack([curve.q_values, *curve.rates]))
     return curve
 
 
@@ -213,9 +211,8 @@ def run_fig4(config, out_dir=None):
     with manifest.stage("power", {"q_values": config.q_values}) as outputs:
         curve = write_power_curve(config, out / "curve.csv")
         outputs.append("curve.csv")
-        with open(out / "pvalues.csv", "w") as fh:
-            fh.write("q,trial,T1,p\n")
-            _write_rows(fh, [[float(q), t, float(s), float(p)] for q, t, s, p in curve.records])
+        rows = [[float(q), t, float(s), float(p)] for q, t, s, p in curve.records]
+        _write_csv(out / "pvalues.csv", "q,trial,T1,p\n", rows)
         outputs.append("pvalues.csv")
     manifest.extras["rates"] = {
         str(a): list(r) for a, r in zip(curve.alphas, curve.rates)
@@ -252,10 +249,8 @@ def write_mise_curve(config, path):
         n_ref=config.N_ref,
         tau_ref=config.tau_ref,
     )
-    with open(path, "w") as fh:
-        fh.write("N,tau,mise\n")
-        rows = zip(curve.n_values, curve.tau_values, curve.mise)
-        _write_rows(fh, [[n, float(tau), float(m)] for n, tau, m in rows])
+    rows = zip(curve.n_values, curve.tau_values, curve.mise)
+    _write_csv(path, "N,tau,mise\n", [[n, float(tau), float(m)] for n, tau, m in rows])
     return curve
 
 

@@ -15,14 +15,13 @@ Per-point variate order:
                     circle branch
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .field import _read_float_rows, _read_header, _write_rows
+from .field import _open_csv, _read_float_rows, _write_csv
 from .seeding import TWO_PI, gauss_pair, make_rng, pick_index
 
 CIRCLE_CENTERS = ((0.0, 0.0),)
@@ -164,14 +163,10 @@ def generate_population(pop, n, seed, q=0.0):
 
 def write_cloud(cloud, path):
     """Write a point cloud as CSV with header x,y at full float precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\n")
-        _write_rows(fh, cloud.points)
+    _write_csv(path, "x,y\n", cloud.points)
 
 
 def read_cloud(path):
     """Read a point cloud written by :func:`write_cloud`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, path, "x,y")
-        return PointCloud(_read_float_rows(reader, path, first_line=2, width=2))
+    with _open_csv(path, "x,y") as reader:
+        return PointCloud(_read_float_rows(reader, path, width=2)[0])

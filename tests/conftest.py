@@ -1,7 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI runs property tests reproducibly: HYPOTHESIS_PROFILE=ci derives every
+# example from the test itself, and no example fails for a slow host.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _ACCEPTANCE_RESULTS = []
 

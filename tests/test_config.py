@@ -330,6 +330,41 @@ def test_new_rejections(raw, expected):
     assert validate_config_dict(raw) == expected
 
 
+# Values that Python's json reads from NaN, Infinity, true and false, where a
+# finite number is meant.
+NONFINITE_AND_BOOL_REJECTIONS = [
+    (FIG2, "g0", "NaN", "g0: must be a number >= 0, got nan"),
+    (FIG2, "h", "Infinity", "h: must be a float > 0, got inf"),
+    (FIG2, "tau", "Infinity", "tau: must be a float > 0, got inf"),
+    (
+        FIG2,
+        "field_bounds",
+        "[-Infinity, 1, 0, 1]",
+        "field_bounds: must be [x_lo, x_hi, y_lo, y_hi] with lo < hi, got [-inf, 1, 0, 1]",
+    ),
+    (
+        MISE,
+        "generator",
+        '{"kind": "synthetic", "birth_center": NaN}',
+        "generator.birth_center: must be a number, got nan",
+    ),
+    (FIG2, "max_dim", "true", "max_dim: must be 0 or 1, got True"),
+    (FIG4_PAPER, "q_values", "[true]", "q_values[0]: must lie in [0, 1], got True"),
+    (
+        FIG2,
+        "field_bounds",
+        "[false, true, false, true]",
+        "field_bounds: must be [x_lo, x_hi, y_lo, y_hi] with lo < hi, "
+        "got [False, True, False, True]",
+    ),
+]
+
+
+@pytest.mark.parametrize("base, key, text, message", NONFINITE_AND_BOOL_REJECTIONS)
+def test_json_nonfinite_and_bool_values_are_rejected(base, key, text, message):
+    assert validate_config_dict(dict(base, **{key: json.loads(text)})) == [message]
+
+
 def test_generator_keys_of_each_kind_validate():
     field_gen = {"kind": "field", "population": "circle", "n": 5, "h": 0.2, "q": 0.5,
                  "grid": [8, 8]}

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from persint.analyze import read_matrix, write_matrix
 from persint.errors import CsvFormatError, InvalidInputError, InvalidParameterError
 from persint.field import (
     GridField,
@@ -13,7 +17,15 @@ from persint.field import (
     read_field,
     write_field,
 )
-from persint.synth import PointCloud, gen_gaussian_mixture, gen_uniform_square
+from persint.intensity import IntensityGrid, WeightSpec, read_intensity, write_intensity
+from persint.persistence import PersistenceDiagram, read_diagram, write_diagram
+from persint.synth import (
+    PointCloud,
+    gen_gaussian_mixture,
+    gen_uniform_square,
+    read_cloud,
+    write_cloud,
+)
 
 
 def test_grid_spec_nodes():
@@ -153,12 +165,34 @@ def test_field_csv_rejects_trailing_data(tmp_path):
     path = tmp_path / "field.csv"
     write_field(fld, path)
     written = path.read_text()
+    assert written.splitlines()[1] == "distance,0.0,1.0,0.0,1.0,2,3"  # int bounds as floats
     path.write_text(written + "\n \n")  # blank lines after the values are fine
     assert np.array_equal(read_field(path).values, fld.values)
     path.write_text(written + "\n6.0,7.0,8.0\n")
     with pytest.raises(CsvFormatError) as err:
         read_field(path)
     assert err.value.line == 6  # header, spec, two value rows, blank, extra row
+
+
+def test_field_csv_skips_blank_lines_between_value_rows(tmp_path):
+    path = tmp_path / "field.csv"
+    spec_block = "kind,x_lo,x_hi,y_lo,y_hi,nx,ny\ndistance,0,1,0,1,3,2\n"
+    path.write_text(f"{spec_block}\n0.0,1.0\n\n\n2.0,3.0\n4.0,5.0\n")
+    assert np.array_equal(read_field(path).values, np.arange(6.0).reshape(3, 2))
+    path.write_text(f"{spec_block}0.0,1.0\n\n2.0,3.0\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_field(path)
+    assert err.value.line == 6  # the value row missing after the last line
+    assert err.value.message == "expected 3 rows, got 2"
+
+
+def test_field_csv_names_a_line_the_csv_module_rejects(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("kind,x_lo,x_hi,y_lo,y_hi,nx,ny\ndistance,0,1,0,1,2,2\n" + "1" * 200_000)
+    with pytest.raises(CsvFormatError) as err:
+        read_field(path)
+    assert err.value.line == 3
+    assert err.value.message.startswith("field larger than field limit")
 
 
 @pytest.mark.parametrize("bad", ["nan", "-inf", "-0.5"])
@@ -207,3 +241,121 @@ def test_csv_writers_emit_exact_float_text(tmp_path):
         "1,5e-324,123456789012345.0,b",
         "2,1e-05,0.1,c",
     ]
+
+
+# Properties of the CSV codec, over every artifact kind: a file reads back to
+# equal values and rewrites to the same bytes, and a reader given a file with
+# one line deleted, duplicated or retyped returns a value or raises
+# CsvFormatError, never anything else.
+
+_AWKWARD = st.sampled_from([-0.0, 5e-324, 1e16])
+_finite = st.one_of(_AWKWARD, st.floats(allow_nan=False, allow_infinity=False))
+_nonnegative = st.one_of(_AWKWARD, st.floats(min_value=0.0, allow_infinity=False))
+_positive = st.one_of(st.just(5e-324), st.floats(min_value=5e-324, allow_infinity=False))
+
+
+def _interval(draw):
+    return sorted(draw(st.lists(_finite, min_size=2, max_size=2, unique=True)))
+
+
+@st.composite
+def _fields(draw):
+    spec = GridSpec(*_interval(draw), *_interval(draw), draw(st.integers(2, 4)),
+                    draw(st.integers(2, 4)))
+    values = draw(arrays(np.float64, (spec.nx, spec.ny), elements=_nonnegative))
+    return GridField(spec, values, draw(st.sampled_from(["density", "distance"])))
+
+
+@st.composite
+def _intensities(draw):
+    field = draw(_fields())
+    weights = WeightSpec(draw(_nonnegative), draw(_nonnegative))
+    return IntensityGrid(field.spec, field.values, draw(_positive), weights)
+
+
+@st.composite
+def _diagrams(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from([0, 1]), _finite, _finite), max_size=6))
+    return PersistenceDiagram.from_pairs([(d, min(a, b), max(a, b)) for d, a, b in rows])
+
+
+def _matrices(rows, cols):
+    return arrays(np.float64, st.tuples(rows, cols), elements=_finite)
+
+
+# kind: (strategy, writer, reader, the artifact's content as plain values)
+CODECS = {
+    "cloud": (
+        _matrices(st.integers(0, 6), st.just(2)).map(PointCloud),
+        write_cloud,
+        read_cloud,
+        lambda cloud: cloud.points.tolist(),
+    ),
+    "field": (_fields(), write_field, read_field, lambda f: (f.kind, f.spec, f.values.tolist())),
+    "diagram": (
+        _diagrams(),
+        write_diagram,
+        read_diagram,
+        lambda d: [a.tolist() for a in d.arrays()],
+    ),
+    "intensity": (
+        _intensities(),
+        write_intensity,
+        read_intensity,
+        lambda g: (g.spec, g.tau, g.weights, g.values.tolist()),
+    ),
+    "matrix": (
+        _matrices(st.integers(1, 4), st.integers(1, 4)),
+        write_matrix,
+        read_matrix,
+        lambda m: m.tolist(),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CODECS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csv_round_trip_is_exact(tmp_path_factory, kind, data):
+    strategy, write, read, content = CODECS[kind]
+    first = tmp_path_factory.getbasetemp() / f"{kind}-first.csv"
+    again = tmp_path_factory.getbasetemp() / f"{kind}-again.csv"
+    value = data.draw(strategy)
+    write(value, first)
+    back = read(first)
+    write(back, again)
+    assert again.read_bytes() == first.read_bytes()
+    assert content(back) == content(value)
+
+
+_TEXT = st.text(alphabet="0123456789.,-+eEinfatyxd \"", max_size=24)
+_CELL = st.sampled_from(["0", "1", "2", "-1.5", "-0.0", "nan", "inf", "-inf", "1e400", "x", ""])
+
+
+def _retyped(line):
+    """Random text, or as many cells as ``line`` has, each a number or not."""
+    cells = st.lists(_CELL, min_size=line.count(",") + 1, max_size=line.count(",") + 1)
+    return st.one_of(_TEXT, cells.map(",".join))
+
+
+@pytest.mark.parametrize("kind", sorted(CODECS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_csv_readers_raise_only_csv_format_error(tmp_path_factory, kind, data):
+    strategy, write, read, _ = CODECS[kind]
+    path = tmp_path_factory.getbasetemp() / f"{kind}-damaged.csv"
+    write(data.draw(strategy), path)
+    lines = path.read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    damage = data.draw(st.sampled_from(["delete", "duplicate", "retype"]))
+    if damage == "delete":
+        del lines[i]
+    elif damage == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = data.draw(_retyped(lines[i]))
+    path.write_text("".join(line + "\n" for line in lines))
+    try:
+        read(path)
+    except CsvFormatError:
+        pass

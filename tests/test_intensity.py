@@ -185,6 +185,43 @@ def test_intensity_csv_rejects_trailing_data(tmp_path):
     assert err.value.line == 8  # four header lines, three value rows, extra row
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ("-0.1,1.0,1.0", "values must be finite and >= 0, got -0.1"),
+        ("0.0,1.0,1.0", "tau must be > 0, got 0.0"),
+        ("nan,1.0,1.0", "values must be finite and >= 0, got nan"),
+        ("0.1,-1.0,1.0", "values must be finite and >= 0, got -1.0"),
+        ("0.1,nan,1.0", "values must be finite and >= 0, got nan"),
+        ("0.1,1.0,-1.0", "values must be finite and >= 0, got -1.0"),
+        ("0.1,1.0,nan", "values must be finite and >= 0, got nan"),
+    ],
+)
+def test_intensity_csv_names_a_bad_metadata_row(tmp_path, meta, message):
+    grid = smooth_diagram(_diag([(0, 0.2, 0.5)]), 0.1, spec=GridSpec(0, 1, 0, 1, 3, 2))
+    path = tmp_path / "intensity.csv"
+    write_intensity(grid, path)
+    lines = path.read_text().splitlines()
+    lines[3] = meta  # the tau,g0,g1 row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_intensity(path)
+    assert (err.value.path, err.value.line, err.value.message) == (str(path), 4, message)
+
+
+def test_intensity_csv_skips_blank_lines_between_value_rows(tmp_path):
+    grid = smooth_diagram(_diag([(0, 0.2, 0.5)]), 0.1, spec=GridSpec(0, 1, 0, 1, 3, 2))
+    path = tmp_path / "intensity.csv"
+    write_intensity(grid, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n")
+    assert np.array_equal(read_intensity(path).values, grid.values)
+    path.write_text("\n".join(lines[:5] + ["", "0.0,-1.0"] + lines[6:]) + "\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_intensity(path)
+    assert err.value.line == 7  # the blank line counts
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-1e-300"])
 def test_intensity_csv_rejects_nonfinite_and_negative_values(tmp_path, bad):
     grid = smooth_diagram(_diag([(0, 0.2, 0.5)]), 0.1, spec=GridSpec(0, 1, 0, 1, 3, 2))
