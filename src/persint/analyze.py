@@ -8,12 +8,12 @@ import numpy as np
 from .errors import (
     CsvFormatError,
     DegenerateGraphError,
-    IncompatibleGridsError,
     InvalidInputError,
     InvalidParameterError,
     InvariantError,
 )
 from .field import _open_csv, _read_float_rows, _write_csv
+from .intensity import _compatible
 from .seeding import make_rng, pick_index
 
 
@@ -85,8 +85,7 @@ class ClusterAssignment:
 
 def l1_distance(a, b):
     """Riemann-sum L1 distance between two intensity grids on the same spec."""
-    if not a.compatible_with(b):
-        raise IncompatibleGridsError("intensity grids differ in spec, tau, or weights")
+    _compatible([a, b])
     return float(np.abs(a.values - b.values).sum() * a.spec.cell_area)
 
 
@@ -144,6 +143,22 @@ def similarity_from_distance(d, scale):
     return np.exp(-d.entries / scale)
 
 
+def _normalized_laplacian(s):
+    """L_sym = I - D^-1/2 S D^-1/2 of a similarity matrix S, and D^-1/2 as a vector."""
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise InvalidInputError(f"similarity matrix must be square, got {s.shape}")
+    if not np.array_equal(s, s.T):
+        raise InvalidInputError("similarity matrix must be symmetric")
+    if np.any(s < 0) or np.any(s > 1):
+        raise InvalidInputError("similarity entries must lie in [0, 1]")
+    deg = s.sum(axis=1)
+    if np.any(deg <= 0):
+        raise DegenerateGraphError("similarity graph has a zero-degree node")
+    dinv = 1.0 / np.sqrt(deg)
+    return np.eye(len(s)) - dinv[:, None] * s * dinv[None, :], dinv
+
+
 def spectral_embed(s, k, rescale_degree=False, row_normalize=False, skip_trivial=False):
     """Eigenvectors of the k smallest eigenvalues of the normalized Laplacian.
 
@@ -153,22 +168,11 @@ def spectral_embed(s, k, rescale_degree=False, row_normalize=False, skip_trivial
     ``row_normalize`` scales each embedded row to unit norm. Both default
     off.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InvalidInputError(f"similarity matrix must be square, got {s.shape}")
-    if not np.array_equal(s, s.T):
-        raise InvalidInputError("similarity matrix must be symmetric")
-    if np.any(s < 0) or np.any(s > 1):
-        raise InvalidInputError("similarity entries must lie in [0, 1]")
-    n = s.shape[0]
+    lap, dinv = _normalized_laplacian(s)
+    n = len(lap)
     take = k + 1 if skip_trivial else k
     if not 1 <= take <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    deg = s.sum(axis=1)
-    if np.any(deg <= 0):
-        raise DegenerateGraphError("similarity graph has a zero-degree node")
-    dinv = 1.0 / np.sqrt(deg)
-    lap = np.eye(n) - dinv[:, None] * s * dinv[None, :]
     evals, evecs = np.linalg.eigh(lap)
     coords = evecs[:, (1 if skip_trivial else 0) : take].copy()
     if rescale_degree:
@@ -182,12 +186,10 @@ def spectral_embed(s, k, rescale_degree=False, row_normalize=False, skip_trivial
 
 def laplacian_eigenvalues(s):
     """Eigenvalues of L_sym, ascending; exposed for diagnostics and tests."""
-    deg = np.asarray(s, dtype=np.float64).sum(axis=1)
-    if np.any(deg <= 0):
-        raise DegenerateGraphError("similarity graph has a zero-degree node")
-    dinv = 1.0 / np.sqrt(deg)
-    lap = np.eye(s.shape[0]) - dinv[:, None] * s * dinv[None, :]
-    return np.linalg.eigvalsh(lap)
+    return np.linalg.eigvalsh(_normalized_laplacian(s)[0])
+
+
+_RESTARTS, _MAX_ITER = 10, 300  # k-means starts, and Lloyd steps per start at most
 
 
 def _greedy_centers(x, k, first):
@@ -200,10 +202,10 @@ def _greedy_centers(x, k, first):
     return x[centers].copy()
 
 
-def _lloyd(x, centers, max_iter):
+def _lloyd(x, centers):
     labels = None
     prev_inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)  # ties resolve to the lowest center
         inertia = float(d2[np.arange(x.shape[0]), new_labels].sum())
@@ -221,19 +223,19 @@ def _lloyd(x, centers, max_iter):
     return labels, centers, prev_inertia
 
 
-def kmeans(embedding, k, seed, restarts=10, max_iter=300):
+def kmeans(embedding, k, seed):
     """Seeded k-means: greedy farthest-point init, Lloyd iterations, best of
-    ``restarts`` runs by inertia."""
+    ``_RESTARTS`` runs by inertia."""
     x = embedding.coords if isinstance(embedding, Embedding) else np.asarray(embedding, float)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = make_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         first = pick_index(rng, n)
         centers = _greedy_centers(x, k, first)
-        labels, centers, inertia = _lloyd(x, centers, max_iter)
+        labels, centers, inertia = _lloyd(x, centers)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     labels, centers, inertia = best

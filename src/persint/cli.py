@@ -26,7 +26,15 @@ from .analyze import (
 )
 from .config import load_config
 from .errors import ConfigError, InvalidInputError, PersintError
-from .field import GridSpec, default_kde_spec, distance_grid, kde_grid, read_field, write_field
+from .field import (
+    GridSpec,
+    _write_json,
+    default_kde_spec,
+    distance_grid,
+    kde_grid,
+    read_field,
+    write_field,
+)
 from .inference import permutation_test
 from .intensity import (
     WeightSpec,
@@ -229,8 +237,6 @@ def _read_intensity_dir(path):
 
 
 def _cmd_infer(args):
-    import json
-
     if args.infer_command == "test":
         res = permutation_test(
             _read_intensity_dir(args.a),
@@ -238,9 +244,7 @@ def _cmd_infer(args):
             args.perms,
             _effective_seed(args),
         )
-        with open(args.json_out, "w") as fh:
-            json.dump(res.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, res.to_dict())
         print(f"T1={res.statistic!r} p={res.p_value!r} B={res.permutations}")
         return 0
 

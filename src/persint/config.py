@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
+from .field import _write_json
 from .synth import POPULATIONS
 
 DEFAULT_GENERATOR = {
@@ -70,9 +71,7 @@ class ExperimentConfig:
         return asdict(self)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
@@ -224,7 +223,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from None
 
 

@@ -5,10 +5,12 @@ Grid convention: node (i, j) of a GridSpec sits at
 values are stored as an (nx, ny) array indexed ``values[i, j]``.
 Integrals are node-centered Riemann sums, ``values.sum() * dx * dy``.
 
-This module also holds the CSV codec of every artifact: `_write_csv` and `_read_float_rows`.
+This module also holds the codecs of every artifact: `_write_csv` and
+`_read_float_rows` for CSV, and `_write_json` for JSON.
 """
 
 import csv
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,9 +37,10 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
+        finite = all(map(math.isfinite, (self.x_lo, self.x_hi, self.y_lo, self.y_hi)))
+        if not (finite and self.x_lo < self.x_hi and self.y_lo < self.y_hi):
             raise InvalidParameterError(
-                f"grid bounds must satisfy lo < hi, got x [{self.x_lo}, {self.x_hi}] "
+                f"grid bounds must be finite with lo < hi, got x [{self.x_lo}, {self.x_hi}] "
                 f"y [{self.y_lo}, {self.y_hi}]"
             )
         if self.nx < 2 or self.ny < 2:
@@ -173,6 +176,13 @@ def _write_csv(path, head, rows, labels=None):
             fh.writelines(f"{','.join(map(repr, row))},{label}\n" for row, label in lines)
 
 
+def _write_json(path, payload):
+    """Write a JSON artifact: keys sorted, two-space indents, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_field(field, path):
     """Write a field as CSV: a spec header block, then row-major values."""
     _write_csv(path, _spec_head(field.kind, field.spec), field.values)
@@ -181,14 +191,18 @@ def write_field(field, path):
 @contextmanager
 def _open_csv(path, header=None):
     """A csv reader over ``path``, past its checked ``header`` line if one is given."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    # Lines are decoded one at a time: a text-mode file decodes ahead in
+    # chunks, so its errors would not name the line that is not UTF-8.
+    with open(path, "rb") as fh:
+        reader = csv.reader(map(bytes.decode, fh))
         try:
             if header is not None:
                 _read_header(reader, path, header)
             yield reader
         except csv.Error as exc:  # such as a field over the csv module's size limit
             raise CsvFormatError(path, reader.line_num, str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(path, reader.line_num + 1, f"not UTF-8: {exc}") from None
 
 
 def _read_header(reader, path, header):

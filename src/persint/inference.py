@@ -28,15 +28,16 @@ import numpy as np
 
 from .errors import (
     DegenerateStatisticError,
-    IncompatibleGridsError,
     InvalidInputError,
     InvalidParameterError,
     StageError,
 )
 from .field import GridSpec, box_spec, kde_grid
 from .intensity import (
+    _PAD_TAUS,
+    _compatible,
+    _values_at,
     default_intensity_spec,
-    intensity_at,
     mean_intensity_values,
     pooled_pairs,
     smooth_diagram,
@@ -57,7 +58,7 @@ class TestResult:
     seed: int
     n1: int
     n2: int
-    null_stats: tuple = ()  # permuted statistics, kept only on request
+    null_stats: tuple  # the permuted statistics, in permutation order
 
     def to_dict(self):
         return {
@@ -119,15 +120,12 @@ def _canonical_rows(group1, group2):
     group1, group2 = list(group1), list(group2)
     if not group1 or not group2:
         raise InvalidInputError("both groups must be nonempty")
-    pooled = group1 + group2
-    head = pooled[0]
-    if not all(head.compatible_with(g) for g in pooled[1:]):
-        raise IncompatibleGridsError("intensity grids differ in spec, tau, or weights")
+    pooled = _compatible(group1 + group2)
     order = sorted(range(len(pooled)), key=lambda k: pooled[k].values.tobytes())
     stack = np.stack([pooled[k].values.ravel() for k in order])
     rows = np.empty(len(pooled), dtype=np.int64)
     rows[order] = np.arange(len(pooled))
-    return stack, rows[: len(group1)], rows[len(group1) :], head.spec.cell_area
+    return stack, rows[: len(group1)], rows[len(group1) :], pooled[0].spec.cell_area
 
 
 def _mean_gap(stack, rows1, rows2, area):
@@ -149,13 +147,13 @@ def _fisher_yates(rng, idx):
         idx[i], idx[j] = idx[j], idx[i]
 
 
-def permutation_test(group1, group2, B, seed, keep_null=False):
+def permutation_test(group1, group2, B, seed):
     """Two-sample permutation test of the L1 statistic.
 
     Pools the grids, relabels them B times under the seeded protocol
     described in the module docstring, and reports
-    p = (1 + #{permuted >= observed}) / (B + 1). With ``keep_null`` the
-    permuted statistics are returned on the result for diagnostics.
+    p = (1 + #{permuted >= observed}) / (B + 1). The permuted statistics
+    are returned on the result for diagnostics.
     """
     B = int(B)
     if B < 1:
@@ -177,7 +175,7 @@ def permutation_test(group1, group2, B, seed, keep_null=False):
         seed=int(seed),
         n1=rows1.size,
         n2=rows2.size,
-        null_stats=tuple(null_stats) if keep_null else (),
+        null_stats=tuple(null_stats),
     )
 
 
@@ -226,30 +224,22 @@ def population_field_spec(population, h, nx=64, ny=64):
     return GridSpec(box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad, nx, ny)
 
 
-def field_diagram_source(
-    population="uniform",
-    n=60,
-    h=0.25,
-    q=0.0,
-    grid=(64, 64),
-    direction="superlevel",
-    max_dim=0,
-):
+def field_diagram_source(population="uniform", n=60, h=0.25, q=0.0, grid=(64, 64)):
     """Diagram process: sample a cloud, estimate its density on the
     population's fixed ``grid`` (see :func:`population_field_spec`), take
-    persistence."""
+    superlevel persistence in dim 0."""
     spec = population_field_spec(population, h, *grid)
 
     def draw(seed):
         cloud = generate_population(population, n, seed, q=q)
-        return compute_persistence(kde_grid(cloud, h, spec), direction, max_dim)
+        return compute_persistence(kde_grid(cloud, h, spec), "superlevel", 0)
 
     return draw
 
 
-def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, life_mean=0.15, dim=0):
-    """Direct diagram process: Poisson pair count, Gaussian births,
-    exponential lifetimes. Cheap enough for many-replicate studies."""
+def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, life_mean=0.15):
+    """Direct diagram process of dim-0 pairs: Poisson pair count, Gaussian
+    births, exponential lifetimes. Cheap enough for many-replicate studies."""
 
     def draw(seed):
         # Three uniforms per pair, in the order of the seeding helpers: a
@@ -266,7 +256,7 @@ def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, lif
             points.append((birth, birth + life))
         points.sort()
         births, deaths = np.array(points).reshape(count, 2).T
-        return PersistenceDiagram(np.full(count, dim), births, deaths, direction="superlevel")
+        return PersistenceDiagram(np.zeros(count, np.int64), births, deaths, direction="superlevel")
 
     return draw
 
@@ -365,26 +355,38 @@ def loglog_slope(xs, ys):
     return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
 
 
-def _reference(source, seed, n_ref, tau_ref, tau_max, grid, pad_factor=4.0):
-    """Grid spec and mean intensity at ``tau_ref`` of the reference diagrams
-    ``source(child_seed(seed, 0, i))``, i < n_ref, whose pairs are pooled
-    once. The grid covers the pairs plus ``pad_factor * tau_max``."""
-    pairs = pooled_pairs([source(child_seed(seed, 0, i)) for i in range(n_ref)])
-    spec = box_spec(pairs[0], pairs[1], pad_factor * tau_max, *grid)
+def _draw(source, seed, path, count):
+    """Pooled pairs (see :func:`pooled_pairs`) of the diagrams
+    ``source(child_seed(seed, *path, i))``, i < count."""
+    return pooled_pairs([source(child_seed(seed, *path, i)) for i in range(count)])
+
+
+def _sweep_reference(source, seed, counts, taus, reps, n_ref, tau_ref, grid):
+    """Check a squared-error sweep over diagram ``counts`` and bandwidths
+    ``taus``; return its grid spec and the mean intensity at ``tau_ref`` of
+    the reference diagrams ``child_seed(seed, 0, i)``, i < n_ref. The grid
+    covers their pairs plus ``_PAD_TAUS`` times the largest sweep tau."""
+    if reps < 1:
+        raise InvalidParameterError(f"need reps >= 1, got {reps}")
+    if not taus or not all(0 < t < math.inf for t in taus):
+        raise InvalidParameterError(f"sweep taus must be finite and > 0, got {taus}")
+    if not 0 < tau_ref < math.inf:
+        raise InvalidParameterError(f"tau_ref must be finite and > 0, got {tau_ref}")
+    if not 1 <= min(counts) <= max(counts) < n_ref:
+        raise InvalidParameterError(
+            f"need 1 <= N < n_ref for every sweep N, got N={counts} and n_ref={n_ref}"
+        )
+    pairs = _draw(source, seed, (0,), n_ref)
+    spec = box_spec(pairs[0], pairs[1], _PAD_TAUS * max(taus), *grid)
     return spec, mean_intensity_values(*pairs, tau_ref, spec)
 
 
-def mise_study(
-    source,
-    n_values,
-    tau_scale,
-    reps,
-    seed,
-    n_ref=None,
-    tau_ref=None,
-    grid=(64, 64),
-    pad_factor=4.0,
-):
+def _ise(pairs, tau, spec, ref):
+    """Integrated squared error against ``ref`` of the mean intensity of pooled pairs."""
+    return float(((mean_intensity_values(*pairs, tau, spec) - ref) ** 2).sum() * spec.cell_area)
+
+
+def mise_study(source, n_values, tau_scale, reps, seed, n_ref=None, tau_ref=None, grid=(64, 64)):
     """Integrated squared error of the N-averaged intensity vs a reference.
 
     For each N in the sweep, tau follows the rule tau = tau_scale * N^(-1/6).
@@ -396,32 +398,16 @@ def mise_study(
     n_values = tuple(int(v) for v in n_values)
     if not n_values or any(v < 1 for v in n_values):
         raise InvalidParameterError(f"n_values must be positive, got {n_values}")
-    if reps < 1:
-        raise InvalidParameterError(f"need reps >= 1, got {reps}")
-    if not tau_scale > 0:
-        raise InvalidParameterError(f"tau_scale must be > 0, got {tau_scale}")
     taus = tuple(tau_scale * v ** (-1.0 / 6.0) for v in n_values)
-    if n_ref is None:
-        n_ref = 20 * max(n_values)
-    if n_ref <= max(n_values):
-        raise InvalidParameterError(
-            f"reference count n_ref={n_ref} must exceed the largest sweep N={max(n_values)}"
-        )
-    if tau_ref is None:
-        tau_ref = 0.5 * min(taus)
+    n_ref = 20 * max(n_values) if n_ref is None else n_ref
+    tau_ref = 0.5 * min(taus) if tau_ref is None else tau_ref
 
     # Reference seeds: child_seed(seed, 0, i); sweep: child_seed(seed, 1, N_index, rep, i).
-    spec, ref = _reference(source, seed, n_ref, tau_ref, max(taus), grid, pad_factor)
-    area = spec.cell_area
+    spec, ref = _sweep_reference(source, seed, n_values, taus, reps, n_ref, tau_ref, grid)
     mise = []
-    for ni, n_diag in enumerate(n_values):
-        total = 0.0
-        for rep in range(reps):
-            diagrams = [source(child_seed(seed, 1, ni, rep, i)) for i in range(n_diag)]
-            acc = mean_intensity_values(*pooled_pairs(diagrams), taus[ni], spec)
-            total += float(((acc - ref) ** 2).sum() * area)
-        mise.append(total / reps)
-
+    for ni, (n, tau) in enumerate(zip(n_values, taus)):
+        ises = [_ise(_draw(source, seed, (1, ni, rep), n), tau, spec, ref) for rep in range(reps)]
+        mise.append(sum(ises) / reps)
     slope = loglog_slope(n_values, mise) if len(n_values) >= 2 else None
     return MiseCurve(
         n_values=n_values,
@@ -439,22 +425,11 @@ def tau_mise_sweep(source, n_diagrams, taus, reps, seed, n_ref, tau_ref, grid=(6
     trade-off in tau directly.
     """
     taus = tuple(float(t) for t in taus)
-    spec, ref = _reference(source, seed, n_ref, tau_ref, max(taus), grid)
-    area = spec.cell_area
+    spec, ref = _sweep_reference(source, seed, (n_diagrams,), taus, reps, n_ref, tau_ref, grid)
     # The same diagrams are reused across taus (paired comparison), so the
     # curve shape reflects the bandwidth alone.
-    rep_pairs = [
-        pooled_pairs([source(child_seed(seed, 1, rep, i)) for i in range(n_diagrams)])
-        for rep in range(reps)
-    ]
-    out = []
-    for tau in taus:
-        total = 0.0
-        for pairs in rep_pairs:
-            acc = mean_intensity_values(*pairs, tau, spec)
-            total += float(((acc - ref) ** 2).sum() * area)
-        out.append(total / reps)
-    return out
+    rep_pairs = [_draw(source, seed, (1, rep), n_diagrams) for rep in range(reps)]
+    return [sum(_ise(pairs, tau, spec, ref) for pairs in rep_pairs) / reps for tau in taus]
 
 
 def std_normal_cdf(z):
@@ -487,9 +462,7 @@ def normality_check(source, N, tau, node, reps, seed):
     for r in range(reps):
         # replicate seeds: child_seed(seed, r, i). The intensity is linear in the
         # pairs, so the mean of N intensities is that of their pooled pairs over N.
-        arrays = zip(*(source(child_seed(seed, r, i)).arrays() for i in range(N)))
-        pooled = PersistenceDiagram(*map(np.concatenate, arrays))
-        vals[r] = intensity_at(pooled, tau, pt)[0] / N
+        vals[r] = _values_at(*_draw(source, seed, (r,), N)[:3], tau, pt)[0] / N
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1))
     if sd <= 1e-9 * abs(mean):
@@ -500,7 +473,7 @@ def normality_check(source, N, tau, node, reps, seed):
     )
 
 
-def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256), pad_factor=4.0):
+def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256)):
     """L1 response of the averaged intensity to extra smoothing by tau.
 
     A fixed batch of diagrams is pooled into one weighted point set (the
@@ -518,12 +491,11 @@ def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256
         raise InvalidParameterError(f"taus must be positive and distinct, got {taus}")
     if not tau_ref > 0:
         raise InvalidParameterError(f"tau_ref must be > 0, got {tau_ref}")
-    diagrams = [source(child_seed(seed, i)) for i in range(num_diagrams)]
-    births, deaths, weights, _ = pooled_pairs(diagrams)
+    births, deaths, weights, _ = _draw(source, seed, (), num_diagrams)
     weights /= num_diagrams
     if births.size == 0:
         raise InvalidInputError("diagram process produced no pairs")
-    spec = box_spec(births, deaths, pad_factor * math.hypot(max(taus), tau_ref), *grid)
+    spec = box_spec(births, deaths, _PAD_TAUS * math.hypot(max(taus), tau_ref), *grid)
 
     def smoothed(tau):
         # All pairs form one pooled "diagram".

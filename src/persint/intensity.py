@@ -14,7 +14,8 @@ pair in stored order, ``((w_0 K_0) + w_1 K_1) + ...``, starting from zero:
 the order of a plain einsum loop. BLAS matrix products would be faster per
 grid but reassociate that sum, so written intensities would depend on the
 BLAS build and on how diagrams are batched; the fixed order keeps every
-grid bit-identical however many diagrams share a pass.
+grid bit-identical however many diagrams share a pass. :func:`intensity_at`
+sums the same terms in the same order, so at a node it equals the grid.
 """
 
 import bisect
@@ -114,7 +115,11 @@ class IntensityGrid:
         )
 
 
-def default_intensity_spec(diagrams, tau, nx=128, ny=128, pad_factor=4.0):
+# Default padding of an intensity grid around its pairs, in bandwidths.
+_PAD_TAUS = 4.0
+
+
+def default_intensity_spec(diagrams, tau, nx=128, ny=128, pad_factor=_PAD_TAUS):
     """Grid covering the bounding box of all pairs, expanded by pad_factor*tau."""
     births, deaths, _, _ = pooled_pairs(diagrams)
     return box_spec(births, deaths, pad_factor * tau, nx, ny)
@@ -219,17 +224,20 @@ def smooth_diagram(diagram, tau, w=DEFAULT_WEIGHTS, spec=None):
     return IntensityGrid(spec=spec, values=grids[0], tau=tau, weights=w)
 
 
+def _values_at(births, deaths, weights, tau, points):
+    """Smoothed intensity of pooled pair arrays at an (m, 2) array of points,
+    each value summed pair by pair in stored order as in :func:`smooth_pooled`."""
+    kx = _gaussian_rows(births, points[:, 0], tau)
+    ky = _gaussian_rows(deaths, points[:, 1], tau)
+    return np.einsum("p,pk,pk->k", weights, kx, ky, optimize=False) / (tau * tau)
+
+
 def intensity_at(diagram, tau, points, w=DEFAULT_WEIGHTS):
     """Evaluate the smoothed intensity at arbitrary (birth, death) points."""
     if not tau > 0:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    births, deaths, wts, _ = pooled_pairs([diagram], w)
-    if births.size == 0:
-        return np.zeros(pts.shape[0])
-    kx = _gaussian_rows(pts[:, 0], births, tau)
-    ky = _gaussian_rows(pts[:, 1], deaths, tau)
-    return (kx * ky) @ wts / (tau * tau)
+    return _values_at(*pooled_pairs([diagram], w)[:3], tau, pts)
 
 
 def pair_sum(diagram, fn, w=DEFAULT_WEIGHTS):
@@ -246,17 +254,20 @@ def integrate_against(grid, fn):
     return float((fn(xs, ys) * grid.values).sum() * grid.spec.cell_area)
 
 
-def average_intensity(grids):
-    """Pointwise arithmetic mean of intensity grids sharing spec/tau/weights."""
+def _compatible(grids):
+    """The grids as a list, checked to be nonempty and to share spec, tau and weights."""
     grids = list(grids)
     if not grids:
-        raise InvalidInputError("cannot average an empty list of intensity grids")
+        raise InvalidInputError("need at least one intensity grid")
+    if not all(grids[0].compatible_with(g) for g in grids[1:]):
+        raise IncompatibleGridsError("intensity grids differ in spec, tau, or weights")
+    return grids
+
+
+def average_intensity(grids):
+    """Pointwise arithmetic mean of intensity grids sharing spec/tau/weights."""
+    grids = _compatible(grids)
     head = grids[0]
-    for g in grids[1:]:
-        if not head.compatible_with(g):
-            raise IncompatibleGridsError(
-                "intensity grids differ in spec, tau, or weights; cannot average"
-            )
     vals = np.zeros_like(head.values)
     for g in grids:
         vals += g.values

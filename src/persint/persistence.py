@@ -32,6 +32,11 @@ from .field import _open_csv, _read_float_rows, _write_csv
 DIRECTIONS = ("superlevel", "sublevel")
 
 
+def _bad_pairs(dims, births, deaths):
+    """Mask of the pairs that break the diagram rule: dim 0 or 1, death >= birth."""
+    return (dims != 0) & (dims != 1) | (deaths < births)
+
+
 class PersistencePair(NamedTuple):
     """One finite topological feature: (dim, birth, death) with death >= birth."""
 
@@ -65,9 +70,10 @@ class PersistenceDiagram:
         self.deaths = np.asarray(self.deaths, dtype=np.float64)
         if self.dims.ndim != 1 or not (self.dims.shape == self.births.shape == self.deaths.shape):
             raise InvalidInputError("dims, births and deaths must be 1D arrays of one length")
-        below = self.deaths < self.births
-        if below.any():
-            raise InvalidInputError(f"pair {self.pairs[below.argmax()]} lies below the diagonal")
+        bad = _bad_pairs(self.dims, self.births, self.deaths)
+        if bad.any():
+            pair = self.pairs[bad.argmax()]
+            raise InvalidInputError(f"pair {pair} is not dim 0 or 1 or lies below the diagonal")
 
     @classmethod
     def from_pairs(cls, triples, **meta):
@@ -245,7 +251,7 @@ def read_diagram(path, direction="superlevel"):
     with _open_csv(path, "dim,birth,death") as reader:
         rows, lines = _read_float_rows(reader, path, width=3)
     dims, births, deaths = rows.T
-    bad = (dims != 0) & (dims != 1) | (deaths < births)
+    bad = _bad_pairs(dims, births, deaths)
     if bad.any():
         i = int(bad.argmax())
         dim, birth, death = rows[i].tolist()

@@ -14,10 +14,9 @@ Child-seed paths used here:
 * mise:          child_seed(master, 0|1, ...)            (inside mise_study)
 """
 
-import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import __version__
 from .analyze import classical_mds, distance_matrix, write_embedding, write_matrix
 from .config import DEFAULT_GENERATOR
 from .errors import InvalidParameterError, StageError
-from .field import GridSpec, _write_csv, default_kde_spec, kde_grid, write_field
+from .field import GridSpec, _write_csv, _write_json, default_kde_spec, kde_grid, write_field
 from .inference import (
     field_diagram_source,
     mise_study,
@@ -69,18 +68,7 @@ class RunManifest:
         return [p for s in self.stages for p in s["outputs"]]
 
     def save(self, path):
-        payload = {
-            "experiment": self.experiment,
-            "version": self.version,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "seed_note": self.seed_note,
-            "stages": self.stages,
-            "extras": self.extras,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
 
 
 def _expect_experiment(config, name):

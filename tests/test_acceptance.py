@@ -203,7 +203,7 @@ def test_c09_mixture_and_pairing_identities():
     spec = default_intensity_spec(diagrams1 + diagrams2, tau, 96, 96)
     grids1 = [smooth_diagram(d, tau, spec=spec) for d in diagrams1]
     grids2 = [smooth_diagram(d, tau, spec=spec) for d in diagrams2]
-    res = permutation_test(grids1, grids2, B=200, seed=child_seed(seed, 3), keep_null=True)
+    res = permutation_test(grids1, grids2, B=200, seed=child_seed(seed, 3))
     null = np.array(res.null_stats)
     assert res.statistic <= null.mean() + 3.0 * null.std(ddof=1)
     assert res.p_value > 2.0 / (res.permutations + 1)

@@ -184,6 +184,22 @@ def test_spectral_validation():
         laplacian_eigenvalues(np.zeros((3, 3)))
 
 
+def test_laplacian_eigenvalues_share_spectral_embed_checks():
+    s = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]]
+    assert np.array_equal(laplacian_eigenvalues(s), laplacian_eigenvalues(np.array(s)))
+    bad = [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), InvalidInputError),  # entries > 1
+        (np.array([[1.0, 0.5], [0.4, 1.0]]), InvalidInputError),  # asymmetric
+        (np.ones((2, 3)), InvalidInputError),  # not square
+        (np.zeros((3, 3)), DegenerateGraphError),
+    ]
+    for matrix, error in bad:
+        with pytest.raises(error):
+            spectral_embed(matrix, 1)
+        with pytest.raises(error):
+            laplacian_eigenvalues(matrix)
+
+
 def test_spectral_toggles():
     s = np.exp(-np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0))))
     base = spectral_embed(s, 2)

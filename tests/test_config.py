@@ -95,6 +95,10 @@ def test_load_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(bad)
     assert "JSON" in err.value.errors[0]
+    bad.write_bytes(b'{"experiment": "\xff\xfe"}')
+    with pytest.raises(ConfigError) as err:
+        load_config(bad)
+    assert "not valid JSON" in err.value.errors[0]
 
 
 def test_validate_config_ok(tmp_path):

@@ -43,6 +43,9 @@ def test_grid_spec_validation():
         GridSpec(0, 0, 0, 1, 4, 4)
     with pytest.raises(InvalidParameterError):
         GridSpec(0, 1, 0, 1, 1, 4)
+    for bounds in [(-math.inf, math.inf, 0, 1), (0, 1, 0, math.inf), (math.nan, 1, 0, 1)]:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GridSpec(*bounds, 4, 4)
 
 
 def test_kde_point_at_node():
@@ -158,6 +161,24 @@ def test_field_csv_errors(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         read_field(path)
     assert err.value.line == 4  # missing second value row
+
+
+def test_field_csv_rejects_infinite_grid_bounds(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("kind,x_lo,x_hi,y_lo,y_hi,nx,ny\ndensity,-inf,inf,0,1,2,2\n0,0\n0,0\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_field(path)
+    assert err.value.line == 2
+    assert err.value.message.startswith("bad grid spec: grid bounds must be finite")
+
+
+def test_cloud_csv_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(b"x,y\n1.0,2.0\n\xff\xfe,1\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_cloud(path)
+    assert (err.value.path, err.value.line) == (str(path), 3)
+    assert err.value.message.startswith("not UTF-8")
 
 
 def test_field_csv_rejects_trailing_data(tmp_path):
@@ -359,3 +380,19 @@ def test_csv_readers_raise_only_csv_format_error(tmp_path_factory, kind, data):
         read(path)
     except CsvFormatError:
         pass
+
+
+@pytest.mark.parametrize("kind", sorted(CODECS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csv_readers_name_the_line_that_is_not_utf8(tmp_path_factory, kind, data):
+    strategy, write, read, _ = CODECS[kind]
+    path = tmp_path_factory.getbasetemp() / f"{kind}-bytes.csv"
+    write(data.draw(strategy), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = b"\xff" + lines[i]  # 0xff starts no UTF-8 sequence
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CsvFormatError) as err:
+        read(path)
+    assert err.value.line == i + 1

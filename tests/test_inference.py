@@ -108,7 +108,7 @@ def test_statistic_errors():
 
 def test_statistic_and_test_ignore_order_within_groups():
     for g1, g2, rng in _problems(200, seed=1):
-        want = permutation_test(g1, g2, B=20, seed=7, keep_null=True)
+        want = permutation_test(g1, g2, B=20, seed=7)
         assert two_sample_statistic(g1, g2) == want.statistic
         relisted = [
             (g1[::-1], g2[::-1]),
@@ -116,7 +116,7 @@ def test_statistic_and_test_ignore_order_within_groups():
         ]
         for h1, h2 in relisted:
             assert two_sample_statistic(h1, h2) == want.statistic
-            assert permutation_test(h1, h2, B=20, seed=7, keep_null=True) == want
+            assert permutation_test(h1, h2, B=20, seed=7) == want
 
 
 def _frozen_fisher_yates(rng, idx):
@@ -132,7 +132,7 @@ def test_redrawn_observed_partition_ties_observed():
     # every permuted statistic is the canonical-order gap of its partition.
     redrawn = 0
     for t, (g1, g2, _) in enumerate(_problems(100, seed=2, sizes=(3, 4))):
-        res = permutation_test(g1, g2, B=100, seed=t, keep_null=True)
+        res = permutation_test(g1, g2, B=100, seed=t)
         pooled = _canonical(g1 + g2)
         stack = np.stack([g.values.ravel() for g in pooled])
         n_small = min(len(g1), len(g2))
@@ -324,6 +324,17 @@ def test_mise_study_validation():
         mise_study(source, [], tau_scale=0.2, reps=1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [dict(reps=0), dict(taus=[]), dict(taus=[0.05, 0.0]), dict(n_ref=8), dict(n_diagrams=0)],
+)
+def test_tau_mise_sweep_validation(changes):
+    source = synthetic_diagram_source()
+    args = dict(n_diagrams=8, taus=[0.05, 0.1], reps=2, seed=0, n_ref=40, tau_ref=0.02)
+    with pytest.raises(InvalidParameterError):
+        tau_mise_sweep(source, **{**args, **changes}, grid=(16, 16))
+
+
 def test_tau_sweep_is_u_shaped():
     source = synthetic_diagram_source(mean_pairs=6.0, birth_sd=0.12, life_mean=0.2)
     taus = (0.004, 0.05, 0.8)
@@ -437,10 +448,10 @@ def _frozen_mean(diagrams, tau, spec):
     return acc
 
 
-def _frozen_mise(source, n_values, tau_scale, reps, seed, n_ref, grid, pad_factor=4.0):
+def _frozen_mise(source, n_values, tau_scale, reps, seed, n_ref, grid):
     taus = [tau_scale * v ** (-1.0 / 6.0) for v in n_values]
     ref_diagrams = [source(child_seed(seed, 0, i)) for i in range(n_ref)]
-    spec = default_intensity_spec(ref_diagrams, max(taus), *grid, pad_factor=pad_factor)
+    spec = default_intensity_spec(ref_diagrams, max(taus), *grid)
     ref = _frozen_mean(ref_diagrams, 0.5 * min(taus), spec)
     out = []
     for ni, n_diag in enumerate(n_values):
@@ -458,8 +469,6 @@ def test_mise_study_equals_per_diagram_loop():
     args = dict(n_values=(3, 17, 40), tau_scale=0.12, reps=2, seed=5)
     curve = mise_study(source, **args, n_ref=90, grid=(40, 36))
     assert curve.mise == _frozen_mise(source, **args, n_ref=90, grid=(40, 36))
-    curve = mise_study(source, **args, n_ref=90, grid=(40, 36), pad_factor=6.5)
-    assert curve.mise == _frozen_mise(source, **args, n_ref=90, grid=(40, 36), pad_factor=6.5)
 
 
 def test_tau_mise_sweep_equals_per_diagram_loop():

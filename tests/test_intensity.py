@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persint.errors import (
     CsvFormatError,
@@ -146,6 +148,26 @@ def test_intensity_at_matches_grid_nodes():
     pts = [(spec.xs()[i], spec.ys()[j]) for i in range(6) for j in range(6)]
     vals = intensity_at(diag, tau, pts)
     assert np.allclose(vals, grid.values.ravel(), rtol=1e-12)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([0, 1]), _unit, _unit), max_size=20),
+    tau=st.floats(0.01, 0.5),
+    g=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+    shape=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+)
+def test_intensity_at_nodes_equals_smoothed_grid_bit_for_bit(rows, tau, g, shape):
+    diag = _diag([(d, min(a, b), max(a, b)) for d, a, b in rows])
+    w = WeightSpec(*g)
+    spec = GridSpec(-0.3, 1.2, -0.1, 1.4, *shape)
+    grid = smooth_diagram(diag, tau, w=w, spec=spec)
+    nodes = np.stack(np.meshgrid(spec.xs(), spec.ys(), indexing="ij"), axis=-1)
+    vals = intensity_at(diag, tau, nodes, w=w)
+    assert vals.tobytes() == grid.values.ravel().tobytes()
 
 
 def test_pair_sum():

@@ -195,6 +195,9 @@ def test_diagram_constructor_checks_its_arrays():
     assert diag.pairs == [(0, 0.1, 0.1), (1, -0.5, 2.0)]
     with pytest.raises(InvalidInputError, match="below the diagonal"):
         PersistenceDiagram([0, 1], [0.1, 0.5], [0.2, 0.4])
+    for dim in (2, -1):
+        with pytest.raises(InvalidInputError, match="dim 0 or 1"):
+            PersistenceDiagram([0, dim], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(InvalidInputError, match="one length"):
         PersistenceDiagram([0, 1], [0.1, 0.2], [0.3])
     with pytest.raises(InvalidInputError, match="one length"):
