@@ -16,6 +16,14 @@ from .field import _open_csv, _read_float_rows, _write_csv
 from .intensity import _compatible
 from .seeding import make_rng, pick_index
 
+_DISTANCE_ROWS = "distance matrix rows must be finite, >= 0, equal their columns, 0 on the diagonal"
+
+
+def _bad_rows(d):
+    """Which rows of a square array break the distance matrix rule."""
+    bad = ~np.isfinite(d) | (d < 0) | (d != d.T)
+    return bad.any(axis=1) | (np.diag(d) != 0)
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -27,14 +35,8 @@ class DistanceMatrix:
         d = np.asarray(self.entries, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise InvalidInputError(f"distance matrix must be square, got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise InvalidInputError("distance matrix entries must be finite")
-        if not np.array_equal(d, d.T):
-            raise InvalidInputError("distance matrix must be symmetric")
-        if np.any(d < 0):
-            raise InvalidInputError("distance matrix entries must be >= 0")
-        if np.any(np.diag(d) != 0):
-            raise InvalidInputError("distance matrix diagonal must be zero")
+        if _bad_rows(d).any():
+            raise InvalidInputError(_DISTANCE_ROWS)
         object.__setattr__(self, "entries", d)
 
     @property
@@ -264,11 +266,21 @@ def write_matrix(matrix, path):
 
 
 def read_matrix(path):
+    """Read a distance matrix written by :func:`write_matrix`; CsvFormatError
+    names the first row that is not a row of one."""
     with _open_csv(path) as reader:
-        rows, _ = _read_float_rows(reader, path)
-    if not rows.size:
+        d, lines = _read_float_rows(reader, path)
+        end = reader.line_num
+    n, width = d.shape
+    if not n:
         raise CsvFormatError(path, 1, "empty matrix file")
-    return rows
+    if n != width:
+        line = lines[width] if n > width else end + 1
+        raise CsvFormatError(path, line, f"distance matrix must be square, got {d.shape}")
+    bad = _bad_rows(d)
+    if bad.any():
+        raise CsvFormatError(path, lines[int(bad.argmax())], _DISTANCE_ROWS)
+    return d
 
 
 def write_embedding(embedding, path, labels=None):

@@ -24,7 +24,7 @@ from .analyze import (
     write_embedding,
     write_matrix,
 )
-from .config import load_config
+from .config import _expect_experiment, load_config
 from .errors import ConfigError, InvalidInputError, PersintError
 from .field import (
     GridSpec,
@@ -53,7 +53,7 @@ def _build_parser():
     root = argparse.ArgumentParser(prog="persint", description=__doc__)
     root.add_argument("--version", action="version", version=f"persint {__version__}")
     root.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    root.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    root.add_argument("--threads", type=int, default=None, help="worker threads for sweeps")
     root.add_argument("--out-dir", default=None, help="output directory for run commands")
     sub = root.add_subparsers(dest="command", required=True)
 
@@ -248,7 +248,8 @@ def _cmd_infer(args):
         print(f"T1={res.statistic!r} p={res.p_value!r} B={res.permutations}")
         return 0
 
-    config = load_config(args.config)
+    config = load_config(args.config, seed=args.seed, threads=args.threads)
+    _expect_experiment(config, "fig4" if args.infer_command == "power" else "mise")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.infer_command == "power":
@@ -261,11 +262,7 @@ def _cmd_infer(args):
 
 
 def _cmd_run(args):
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.threads is not None and args.threads != 1:
-        config.threads = args.threads
+    config = load_config(args.config, seed=args.seed, threads=args.threads)
     runner = {"fig2": run_fig2, "fig4": run_fig4, "mise": run_mise}[args.run_command]
     manifest = runner(config, out_dir=args.out_dir)
     for stage in manifest.stages:

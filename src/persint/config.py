@@ -2,12 +2,12 @@
 
 A config file is a flat JSON object. ``experiment`` selects the recipe
 (fig2, fig4, or mise); the remaining keys parameterize the stages. Each
-key's constraint is one row of ``_RULES`` (of ``_GENERATOR_RULES`` for the
-keys of ``generator``); all are checked before anything runs, and all
-violations are reported together with their field paths. A missing master
-seed defaults to 0; per-stage seeds are always derived from the master
-via the documented child-seed rule.
-"""
+key is declared once, as an ``ExperimentConfig`` field that carries its
+default, its rule and the experiments that check it (``_GENERATOR_RULES``
+holds the rules of the keys of ``generator``); all are checked before
+anything runs, and all violations are reported together with their field
+paths. A missing master seed defaults to 0; per-stage seeds are always
+derived from the master via the documented child-seed rule."""
 
 import json
 import math
@@ -26,61 +26,6 @@ DEFAULT_GENERATOR = {
 }
 
 EXPERIMENTS = ("fig2", "fig4", "mise", "custom")
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    seed: int | None = None
-    out_dir: str | None = None
-    threads: int = 1
-    save_intermediates: bool = True
-    # pipeline stages (fig2 and fig4)
-    n: int | None = None
-    N: int | None = None
-    h: float | None = None
-    tau: float | None = None
-    field_grid: list = field(default_factory=lambda: [128, 128])
-    field_bounds: list | None = None
-    intensity_grid: list = field(default_factory=lambda: [128, 128])
-    max_dim: int = 1
-    g0: float = 1.0
-    g1: float = 1.0
-    # fig4 sweep
-    q_values: list | None = None
-    B: int | None = None
-    trials: int | None = None
-    alphas: list = field(default_factory=lambda: [0.05, 0.01])
-    # mise sweep
-    N_values: list | None = None
-    tau_scale: float | None = None
-    reps: int | None = None
-    N_ref: int | None = None
-    tau_ref: float | None = None
-    generator: dict = field(default_factory=lambda: dict(DEFAULT_GENERATOR))
-
-    def master_seed(self):
-        return 0 if self.seed is None else int(self.seed)
-
-    def seed_note(self):
-        if self.seed is None:
-            return "seed absent from config; master seed defaulted to 0"
-        return f"master seed {int(self.seed)} from config"
-
-    def to_dict(self):
-        return asdict(self)
-
-    def save(self, path):
-        _write_json(path, self.to_dict())
-
-
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-# An absent key takes its default, which is valid; so does None where the
-# default is None. Neither is checked. A key with a None default is required
-# by the experiments that check it, unless it is optional; "custom" configs
-# describe hand-driven stage runs and require nothing.
-_NONE_DEFAULTS = {f.name for f in fields(ExperimentConfig) if f.default is None}
-_OPTIONAL = {"seed", "out_dir", "field_bounds", "N_ref", "tau_ref"}
 
 
 def _number(v, types=(int, float)):
@@ -132,36 +77,71 @@ _GENERATOR = (
     lambda v: isinstance(v, dict) and v.get("kind") in _KINDS,
 )
 
-_ALL = EXPERIMENTS
 _STAGES = ("fig2", "fig4", "custom")
-# key: (experiments that check it, rule, whether the rule applies to each
-# element of a nonempty list), in report order.
-_RULES = {
-    "seed": (_ALL, _SEED, False),
-    "threads": (_ALL, _at_least(1), False),
-    "out_dir": (_ALL, ("must be a string", lambda v: isinstance(v, str)), False),
-    "save_intermediates": (_ALL, ("must be true or false", lambda v: isinstance(v, bool)), False),
-    "n": (_STAGES, _at_least(1), False),
-    "N": (_STAGES, _at_least(1), False),
-    "h": (_STAGES, _POSITIVE, False),
-    "tau": (_STAGES, _POSITIVE, False),
-    "field_grid": (_STAGES, _GRID, False),
-    "intensity_grid": (_STAGES, _GRID, False),
-    "field_bounds": (_STAGES, _BOUNDS, False),
-    "max_dim": (_STAGES, ("must be 0 or 1", lambda v: _number(v) and v in (0, 1)), False),
-    "g0": (_STAGES, _NONNEGATIVE, False),
-    "g1": (_STAGES, _NONNEGATIVE, False),
-    "q_values": (("fig4",), _UNIT, True),
-    "B": (("fig4",), _at_least(1), False),
-    "trials": (("fig4",), _at_least(1), False),
-    "alphas": (("fig4",), _LEVEL, True),
-    "N_values": (("mise",), _at_least(1), True),
-    "tau_scale": (("mise",), _POSITIVE, False),
-    "reps": (("mise",), _at_least(1), False),
-    "N_ref": (("mise",), _at_least(2), False),
-    "tau_ref": (("mise",), _POSITIVE, False),
-    "generator": (("mise",), _GENERATOR, False),
-}
+
+
+def _key(experiments, rule, default=None, each=False, required=False):
+    """A config key checked by ``experiments``, with its rule and whether that
+    applies to each element of a nonempty list. An absent key takes its valid
+    default; so does None where the default is None, unless the key is
+    ``required``. "custom" configs describe hand-driven stage runs and
+    require nothing."""
+    meta = {"experiments": experiments, "rule": rule, "each": each, "required": required}
+    if isinstance(default, (list, dict)):
+        return field(default_factory=lambda: type(default)(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+# Fields are declared in report order: the order of the validator's messages.
+@dataclass
+class ExperimentConfig:
+    experiment: str
+    seed: int | None = _key(EXPERIMENTS, _SEED)
+    threads: int = _key(EXPERIMENTS, _at_least(1), 1)
+    out_dir: str | None = _key(EXPERIMENTS, ("must be a string", lambda v: isinstance(v, str)))
+    save_intermediates: bool = _key(
+        EXPERIMENTS, ("must be true or false", lambda v: isinstance(v, bool)), True
+    )
+    # pipeline stages (fig2 and fig4)
+    n: int | None = _key(_STAGES, _at_least(1), required=True)
+    N: int | None = _key(_STAGES, _at_least(1), required=True)
+    h: float | None = _key(_STAGES, _POSITIVE, required=True)
+    tau: float | None = _key(_STAGES, _POSITIVE, required=True)
+    field_grid: list = _key(_STAGES, _GRID, [128, 128])
+    intensity_grid: list = _key(_STAGES, _GRID, [128, 128])
+    field_bounds: list | None = _key(_STAGES, _BOUNDS)
+    max_dim: int = _key(_STAGES, ("must be 0 or 1", lambda v: _number(v) and v in (0, 1)), 1)
+    g0: float = _key(_STAGES, _NONNEGATIVE, 1.0)
+    g1: float = _key(_STAGES, _NONNEGATIVE, 1.0)
+    # fig4 sweep
+    q_values: list | None = _key(("fig4",), _UNIT, each=True, required=True)
+    B: int | None = _key(("fig4",), _at_least(1), required=True)
+    trials: int | None = _key(("fig4",), _at_least(1), required=True)
+    alphas: list = _key(("fig4",), _LEVEL, [0.05, 0.01], each=True)
+    # mise sweep
+    N_values: list | None = _key(("mise",), _at_least(1), each=True, required=True)
+    tau_scale: float | None = _key(("mise",), _POSITIVE, required=True)
+    reps: int | None = _key(("mise",), _at_least(1), required=True)
+    N_ref: int | None = _key(("mise",), _at_least(2))
+    tau_ref: float | None = _key(("mise",), _POSITIVE)
+    generator: dict = _key(("mise",), _GENERATOR, DEFAULT_GENERATOR)
+
+    def master_seed(self):
+        return 0 if self.seed is None else int(self.seed)
+
+    def seed_note(self):
+        if self.seed is None:
+            return "seed absent from config; master seed defaulted to 0"
+        return f"master seed {int(self.seed)} from config"
+
+    def to_dict(self):
+        return asdict(self)
+
+    def save(self, path):
+        _write_json(path, self.to_dict())
+
+
+_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 
 
 def _unknown(keys, prefix=""):
@@ -182,14 +162,14 @@ def validate_config_dict(raw):
     exp = raw.get("experiment")
     if exp not in EXPERIMENTS:
         return errors + [f"experiment: must be one of {EXPERIMENTS}, got {exp!r}"]
-    rules = {key: row for key, (experiments, *row) in _RULES.items() if exp in experiments}
-    required = set() if exp == "custom" else _NONE_DEFAULTS - _OPTIONAL
-    missing = [key for key in rules if key in required and raw.get(key) is None]
-    errors += [f"{key}: required for experiment {exp!r}" for key in missing]
+    keys = [f for f in fields(ExperimentConfig) if exp in f.metadata.get("experiments", ())]
+    missing = [f.name for f in keys if f.metadata["required"] and raw.get(f.name) is None]
+    errors += [f"{key}: required for experiment {exp!r}" for key in missing if exp != "custom"]
 
-    for key, ((message, ok), each) in rules.items():
+    for f in keys:
+        key, (message, ok), each = f.name, f.metadata["rule"], f.metadata["each"]
         value = raw.get(key)
-        if key not in raw or (value is None and key in _NONE_DEFAULTS):
+        if key not in raw or (value is None and f.default is None):
             continue
         if each and not (isinstance(value, list) and value):
             errors.append(f"{key}: must be a nonempty list, got {value!r}")
@@ -217,6 +197,11 @@ def config_from_dict(raw):
     return ExperimentConfig(**raw)
 
 
+def _expect_experiment(config, name):
+    if config.experiment != name:
+        raise ConfigError([f"experiment: must be {name!r}, got {config.experiment!r}"])
+
+
 def _read_json(path):
     try:
         with open(path) as fh:
@@ -227,9 +212,13 @@ def _read_json(path):
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from None
 
 
-def load_config(path):
-    """Load and validate a config file; raises ConfigError on any violation."""
-    return config_from_dict(_read_json(path))
+def load_config(path, **overrides):
+    """Load and validate a config file; raises ConfigError on any violation.
+    Each override that is not None replaces its key before validation."""
+    raw = _read_json(path)
+    if isinstance(raw, dict):
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
+    return config_from_dict(raw)
 
 
 def validate_config(path):

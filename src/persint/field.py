@@ -37,14 +37,14 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        finite = all(map(math.isfinite, (self.x_lo, self.x_hi, self.y_lo, self.y_hi)))
-        if not (finite and self.x_lo < self.x_hi and self.y_lo < self.y_hi):
-            raise InvalidParameterError(
-                f"grid bounds must be finite with lo < hi, got x [{self.x_lo}, {self.x_hi}] "
-                f"y [{self.y_lo}, {self.y_hi}]"
-            )
         if self.nx < 2 or self.ny < 2:
             raise InvalidParameterError(f"grid needs nx, ny >= 2, got {self.nx}x{self.ny}")
+        # The cell area is finite only if the bounds, dx and dy all are.
+        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi and math.isfinite(self.cell_area)):
+            raise InvalidParameterError(
+                f"grid bounds must be finite with lo < hi and a finite cell area, got "
+                f"x [{self.x_lo}, {self.x_hi}] y [{self.y_lo}, {self.y_hi}]"
+            )
 
     @property
     def dx(self):

@@ -215,20 +215,15 @@ _POPULATION_BOX = {
 }
 
 
-def population_field_spec(population, h, nx=64, ny=64):
-    """Fixed KDE grid covering a named population's nominal support plus 4h."""
+def field_diagram_source(population="uniform", n=60, h=0.25, q=0.0, grid=(64, 64)):
+    """Diagram process: sample a cloud, estimate its density on a fixed
+    ``grid`` over the population's nominal support plus 4h, take superlevel
+    persistence in dim 0."""
     box = _POPULATION_BOX.get(population)
     if box is None:
         raise InvalidParameterError(f"unknown population {population!r}")
     pad = 4.0 * h
-    return GridSpec(box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad, nx, ny)
-
-
-def field_diagram_source(population="uniform", n=60, h=0.25, q=0.0, grid=(64, 64)):
-    """Diagram process: sample a cloud, estimate its density on the
-    population's fixed ``grid`` (see :func:`population_field_spec`), take
-    superlevel persistence in dim 0."""
-    spec = population_field_spec(population, h, *grid)
+    spec = GridSpec(box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad, *grid)
 
     def draw(seed):
         cloud = generate_population(population, n, seed, q=q)
@@ -274,20 +269,15 @@ def _map_ordered(fn, args_list, threads):
         return list(pool.map(lambda a: fn(*a), args_list))
 
 
-def power_trial(q, n, N, h, tau, B, trial_seed, field_spec, intensity_nx, intensity_ny):
+def power_trial(q, n, N, h, tau, B, trial_seed, field_grid, intensity_nx, intensity_ny):
     """One full two-sample pipeline: clouds -> KDE -> persistence -> intensity
     -> permutation test. Group 1 is the plain uniform square, group 2 the
-    contaminated mixture."""
-    diagrams1 = []
-    diagrams2 = []
-    for i in range(N):
-        c1 = generate_population("uniform", n, child_seed(trial_seed, 0, i))
-        diagrams1.append(compute_persistence(kde_grid(c1, h, field_spec), "superlevel", 0))
-        c2 = generate_population("contaminated", n, child_seed(trial_seed, 1, i), q=q)
-        diagrams2.append(compute_persistence(kde_grid(c2, h, field_spec), "superlevel", 0))
-    ispec = default_intensity_spec(diagrams1 + diagrams2, tau, intensity_nx, intensity_ny)
-    grids1 = [smooth_diagram(d, tau, spec=ispec) for d in diagrams1]
-    grids2 = [smooth_diagram(d, tau, spec=ispec) for d in diagrams2]
+    contaminated mixture (the uniform square ignores q). Their boxes are equal,
+    so both groups share one KDE grid."""
+    sources = [field_diagram_source(p, n, h, q, field_grid) for p in ("uniform", "contaminated")]
+    groups = [[s(child_seed(trial_seed, g, i)) for i in range(N)] for g, s in enumerate(sources)]
+    ispec = default_intensity_spec(groups[0] + groups[1], tau, intensity_nx, intensity_ny)
+    grids1, grids2 = ([smooth_diagram(d, tau, spec=ispec) for d in group] for group in groups)
     return permutation_test(grids1, grids2, B, child_seed(trial_seed, 2))
 
 
@@ -317,12 +307,11 @@ def power_study(
             raise InvalidParameterError(f"q must be in [0, 1], got {q}")
     if trials < 1:
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
-    field_spec = population_field_spec("uniform", h, *field_grid)
 
     def one(qi, q, t):
         trial_seed = child_seed(seed, 40, qi, t)
         try:
-            return power_trial(q, n, N, h, tau, B, trial_seed, field_spec, *intensity_grid)
+            return power_trial(q, n, N, h, tau, B, trial_seed, field_grid, *intensity_grid)
         except Exception as exc:  # noqa: BLE001 - annotate with sweep context
             raise StageError("power-trial", {"q": q, "trial": t}, exc) from exc
 

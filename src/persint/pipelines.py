@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analyze import classical_mds, distance_matrix, write_embedding, write_matrix
-from .config import DEFAULT_GENERATOR
+from .config import DEFAULT_GENERATOR, _expect_experiment
 from .errors import InvalidParameterError, StageError
 from .field import GridSpec, _write_csv, _write_json, default_kde_spec, kde_grid, write_field
 from .inference import (
@@ -69,11 +69,6 @@ class RunManifest:
 
     def save(self, path):
         _write_json(path, asdict(self))
-
-
-def _expect_experiment(config, name):
-    if config.experiment != name:
-        raise InvalidParameterError(f"config experiment is {config.experiment!r}, expected {name!r}")
 
 
 def _resolve_out_dir(config, out_dir):

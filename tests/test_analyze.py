@@ -295,6 +295,9 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(read_matrix(path), m)
 
 
+DISTANCE_ROWS = "distance matrix rows must be finite, >= 0, equal their columns, 0 on the diagonal"
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
@@ -304,6 +307,25 @@ def test_matrix_csv_round_trip(tmp_path):
     ],
 )
 def test_matrix_csv_names_the_bad_line(tmp_path, text, line, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as err:
+        read_matrix(path)
+    assert (err.value.path, err.value.line, err.value.message) == (str(path), line, message)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("0,1\n1,0\n1,1\n", 3, "distance matrix must be square, got (3, 2)"),
+        ("0,1,1\n1,0,1\n", 3, "distance matrix must be square, got (2, 3)"),
+        ("0,1\n2,0\n", 1, DISTANCE_ROWS),
+        ("0,1,2\n1,0,3\n\n2,4,0\n", 2, DISTANCE_ROWS),
+        ("0,-1\n-1,0\n", 1, DISTANCE_ROWS),
+        ("0,1\n\n1,2\n", 3, DISTANCE_ROWS),
+    ],
+)
+def test_matrix_csv_rejects_what_is_not_a_distance_matrix(tmp_path, text, line, message):
     path = tmp_path / "m.csv"
     path.write_text(text)
     with pytest.raises(CsvFormatError) as err:

@@ -347,6 +347,65 @@ def test_infer_curve_equals_run_recipe_curve(tmp_path, command, payload):
     assert curve.read_bytes() == (run_dir / "curve.csv").read_bytes()
 
 
+def test_global_seed_reaches_infer_as_it_reaches_run(tmp_path):
+    cfg = _write_config(tmp_path, MISE_TINY)
+    curve = tmp_path / "infer.csv"
+    assert main(["--seed", "7", "infer", "mise", "--config", str(cfg), "--out", str(curve)]) == 0
+    run_dir = tmp_path / "run"
+    assert main(["--seed", "7", "--out-dir", str(run_dir), "run", "mise", "--config", str(cfg)]) == 0
+    assert curve.read_bytes() == (run_dir / "curve.csv").read_bytes()
+    assert json.loads((run_dir / "manifest.json").read_text())["master_seed"] == 7
+
+
+def test_threads_flag_overrides_the_config_even_with_one(tmp_path):
+    cfg = _write_config(tmp_path, dict(POWER_TINY, threads=2))
+    out = tmp_path / "run"
+    assert main(["--threads", "1", "--out-dir", str(out), "run", "fig4", "--config", str(cfg)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1
+
+
+def _recipe_argv(command, cfg, out):
+    if command == "run":
+        return ["--out-dir", str(out), "run", "fig4", "--config", str(cfg)]
+    return ["infer", "power", "--config", str(cfg), "--out", str(out / "curve.csv")]
+
+
+@pytest.mark.parametrize("command", ["run", "infer"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed: must be a 64-bit unsigned integer, got -1"),
+        (["--threads", "0"], "threads: must be an integer >= 1, got 0"),
+    ],
+)
+def test_global_flags_are_checked_by_the_config_rules(tmp_path, capsys, command, flags, message):
+    cfg = _write_config(tmp_path, POWER_TINY)
+    out = tmp_path / "out"
+    assert main([*flags, *_recipe_argv(command, cfg, out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["run", "fig2"], POWER_TINY),
+        (["run", "mise"], FIG2_TINY),
+        (["infer", "power"], MISE_TINY),
+        (["infer", "mise"], POWER_TINY),
+    ],
+)
+def test_config_of_another_experiment_is_a_config_error(tmp_path, capsys, argv, payload):
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    extra = ["--out", str(out / "curve.csv")] if argv[0] == "infer" else []
+    assert main(["--out-dir", str(out), *argv, "--config", str(cfg), *extra]) == 2
+    want = {"fig2": "fig2", "mise": "mise", "power": "fig4"}[argv[1]]
+    got = payload["experiment"]
+    assert capsys.readouterr().err == f"error: experiment: must be {want!r}, got {got!r}\n"
+    assert not out.exists()
+
+
 def test_validate_cli(tmp_path, capsys):
     good = _write_config(
         tmp_path,

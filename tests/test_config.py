@@ -394,14 +394,16 @@ def test_readme_documents_every_config_key():
     import inspect
     import re
 
-    from persint.config import _FIELD_NAMES, _GENERATOR_RULES, _RULES, DEFAULT_GENERATOR
+    from dataclasses import fields
+
+    from persint.config import _FIELD_NAMES, _GENERATOR_RULES, DEFAULT_GENERATOR, ExperimentConfig
     from persint.inference import field_diagram_source, synthetic_diagram_source
 
     schema = _readme().split("### Config schema", 1)[1]
     keys_table, generator_table = re.findall(r"(?:^\|.*\n)+", schema, flags=re.M)[:2]
     keys = [k for row in _table_rows(keys_table) for k in re.findall(r"`([^`]+)`", row[0])]
     assert sorted(keys) == sorted(_FIELD_NAMES) and len(keys) == len(set(keys))
-    assert set(_RULES) == _FIELD_NAMES - {"experiment"}  # every key has its rule
+    assert all("rule" in f.metadata for f in fields(ExperimentConfig)[1:])  # every key has its rule
 
     # Generator keys per kind, with the source function's default.
     sources = {"field": field_diagram_source, "synthetic": synthetic_diagram_source}

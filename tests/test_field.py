@@ -172,6 +172,17 @@ def test_field_csv_rejects_infinite_grid_bounds(tmp_path):
     assert err.value.message.startswith("bad grid spec: grid bounds must be finite")
 
 
+def test_grid_spec_rejects_a_span_that_overflows(tmp_path):
+    for bounds in [(-1e308, 1e308, 0, 1), (0, 1, -1e308, 1e308), (0, 1e200, 0, 1e200)]:
+        with pytest.raises(InvalidParameterError, match="finite cell area"):
+            GridSpec(*bounds, 3, 3)
+    path = tmp_path / "field.csv"
+    path.write_text("kind,x_lo,x_hi,y_lo,y_hi,nx,ny\ndensity,-1e308,1e308,0,1,2,2\n0,0\n0,0\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_field(path)
+    assert err.value.line == 2
+
+
 def test_cloud_csv_names_the_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "cloud.csv"
     path.write_bytes(b"x,y\n1.0,2.0\n\xff\xfe,1\n")
@@ -276,7 +287,9 @@ _positive = st.one_of(st.just(5e-324), st.floats(min_value=5e-324, allow_infinit
 
 
 def _interval(draw):
-    return sorted(draw(st.lists(_finite, min_size=2, max_size=2, unique=True)))
+    """Grid bounds whose span, and the product of two spans, stay finite."""
+    bound = st.one_of(_AWKWARD, st.floats(-1e150, 1e150))
+    return sorted(draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
 
 
 @st.composite
@@ -304,6 +317,13 @@ def _matrices(rows, cols):
     return arrays(np.float64, st.tuples(rows, cols), elements=_finite)
 
 
+@st.composite
+def _distance_matrices(draw):
+    n = draw(st.integers(1, 4))
+    upper = np.triu(draw(arrays(np.float64, (n, n), elements=_nonnegative)), 1)
+    return upper + upper.T
+
+
 # kind: (strategy, writer, reader, the artifact's content as plain values)
 CODECS = {
     "cloud": (
@@ -326,7 +346,7 @@ CODECS = {
         lambda g: (g.spec, g.tau, g.weights, g.values.tolist()),
     ),
     "matrix": (
-        _matrices(st.integers(1, 4), st.integers(1, 4)),
+        _distance_matrices(),
         write_matrix,
         read_matrix,
         lambda m: m.tolist(),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from persint.config import config_from_dict
-from persint.errors import InvalidParameterError, StageError
+from persint.errors import ConfigError, InvalidParameterError, StageError
 from persint.pipelines import make_generator, run_fig2, run_fig4, run_mise
 
 FIG2_TINY = {
@@ -92,8 +92,9 @@ def test_fig2_wrong_experiment(tmp_path):
             "trials": 1,
         }
     )
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError, match="experiment: must be 'fig2', got 'fig4'"):
         run_fig2(cfg, out_dir=tmp_path / "x")
+    assert not (tmp_path / "x").exists()
 
 
 def test_fig4_curve(tmp_path):
