@@ -39,10 +39,12 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise InvalidParameterError(f"grid needs nx, ny >= 2, got {self.nx}x{self.ny}")
-        # The cell area is finite only if the bounds, dx and dy all are.
-        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi and math.isfinite(self.cell_area)):
+        # The cell area is finite only if the bounds, dx and dy all are, and
+        # positive only if neither step nor their product underflows to zero.
+        bounds_ok = self.x_lo < self.x_hi and self.y_lo < self.y_hi
+        if not (bounds_ok and 0.0 < self.cell_area < math.inf):
             raise InvalidParameterError(
-                f"grid bounds must be finite with lo < hi and a finite cell area, got "
+                f"grid bounds must be finite with lo < hi and a positive, finite cell area, got "
                 f"x [{self.x_lo}, {self.x_hi}] y [{self.y_lo}, {self.y_hi}]"
             )
 

@@ -18,7 +18,9 @@ sums each group's grids in this canonical order, so the statistic is a
 function of the partition alone. Floating-point sums depend on their order:
 summed in input order, a relisted group could change T1, and a permutation
 that redraws the observed partition could fall a rounding step below it and
-not count as a tie. In canonical order both are exact.
+not count as a tie. In canonical order both are exact, and a permutation
+test computes each partition's statistic once: a redrawn partition reuses
+the value it gave first.
 """
 
 import math
@@ -128,11 +130,22 @@ def _canonical_rows(group1, group2):
     return stack, rows[: len(group1)], rows[len(group1) :], pooled[0].spec.cell_area
 
 
+def _row_mean(stack, rows):
+    """Mean of some rows of ``stack``, summed one row at a time in ascending row order.
+
+    These are the sums, in the same order, that ``stack[np.sort(rows)].mean(axis=0)``
+    makes of a C-contiguous stack, without copying the rows out first.
+    """
+    acc = np.zeros(stack.shape[1])  # numpy's sum starts from 0.0 too, so -0.0 sums to 0.0
+    for r in sorted(rows):
+        np.add(acc, stack[r], out=acc)
+    acc /= len(rows)
+    return acc
+
+
 def _mean_gap(stack, rows1, rows2, area):
     """Cell area times the L1 distance of two row sets' means, each summed in row order."""
-    m1 = stack[np.sort(rows1)].mean(axis=0)
-    m2 = stack[np.sort(rows2)].mean(axis=0)
-    return float(np.abs(m1 - m2).sum() * area)
+    return float(np.abs(_row_mean(stack, rows1) - _row_mean(stack, rows2)).sum() * area)
 
 
 def two_sample_statistic(group1, group2):
@@ -165,9 +178,13 @@ def permutation_test(group1, group2, B, seed):
     rng = make_rng(seed)
     idx = list(range(len(stack)))
     null_stats = []
+    seen = {}  # the statistic of each partition drawn so far, keyed by its first slots
     for _ in range(B):
         _fisher_yates(rng, idx)
-        null_stats.append(_mean_gap(stack, idx[:n_small], idx[n_small:], area))
+        key = tuple(sorted(idx[:n_small]))
+        if key not in seen:
+            seen[key] = _mean_gap(stack, key, idx[n_small:], area)
+        null_stats.append(seen[key])
     return TestResult(
         statistic=observed,
         p_value=(1 + sum(stat >= observed for stat in null_stats)) / (B + 1),
@@ -238,7 +255,7 @@ def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, lif
 
     def draw(seed):
         # Three uniforms per pair, in the order of the seeding helpers: a
-        # Box-Muller pair (gauss_pair, first normal only), then an
+        # Box-Muller pair (box_muller, first normal only), then an
         # exponential by inversion (exponential).
         rng = make_rng(seed)
         count = poisson(rng, mean_pairs)

@@ -101,31 +101,38 @@ def _elder_merge(node_key, edge_a, edge_b, edge_key):
     """Elder-rule union-find over a graph whose edges enter by ascending key.
 
     ``node_key`` ranks the nodes by age: of two merging components, the one
-    whose root has the higher key is elder and survives. Every edge must
-    enter after both its end nodes are born. Returns two index arrays, the
-    younger root killed by each merge and the edge that killed it.
+    whose root has the higher key is elder and survives. Edge keys are
+    distinct, and every edge must enter after both its end nodes are born.
+    Returns two index arrays, the younger root killed by each merge and the
+    edge that killed it.
 
-    Basins are contracted with numpy first. Until a node's first entering
-    edge arrives the node is alone, so when that edge's far end is elder the
-    edge kills the node at once: the node points to the far end. Pointer
-    jumping gives each node its basin root, and the Python loop runs only
-    over the edges whose basin roots differ, in entry order.
+    Basins are contracted with numpy first. A node's first entering edge is
+    the least key among its edges, found by two scatter-mins; until that
+    edge arrives the node is alone, so when its far end is elder the edge
+    kills the node at once: the node points to the far end. Pointer jumping
+    gives each node its basin root. No global edge sort is needed: only the
+    crossing edges, whose basin roots differ, are sorted by key, and of each
+    unordered pair of basins only the first crossing edge is kept, since a
+    later edge between two basins always finds them already joined. The
+    basin roots are relabelled 0..k-1, so the Python loop runs over a few
+    dozen basin pairs on lists of a few dozen entries.
     """
-    n_edges = edge_key.size
-    entry = np.argsort(edge_key)
-    a = edge_a[entry]
-    b = edge_b[entry]
-    first = np.full(node_key.size, n_edges)
-    step = np.arange(n_edges)
-    np.minimum.at(first, a, step)
-    np.minimum.at(first, b, step)
-    node = np.flatnonzero(first < n_edges)
-    first = first[node]
-    far = np.where(a[first] == node, b[first], a[first])
+    n_nodes = node_key.size
+    no_edge = np.iinfo(np.int64).max
+    first_key = np.full(n_nodes, no_edge)
+    np.minimum.at(first_key, edge_a, edge_key)
+    np.minimum.at(first_key, edge_b, edge_key)
+    first_edge = np.empty(n_nodes, dtype=np.int64)
+    for end in (edge_a, edge_b):
+        is_first = np.flatnonzero(edge_key == first_key[end])
+        first_edge[end[is_first]] = is_first
+    node = np.flatnonzero(first_key < no_edge)
+    first = first_edge[node]
+    far = np.where(edge_a[first] == node, edge_b[first], edge_a[first])
     tree = node_key[far] > node_key[node]
     child = node[tree]
     tree_edge = first[tree]
-    root = np.arange(node_key.size)
+    root = np.arange(n_nodes)
     root[child] = far[tree]
     while True:
         jumped = root[root]
@@ -133,13 +140,18 @@ def _elder_merge(node_key, edge_a, edge_b, edge_key):
             break
         root = jumped
 
-    root_a, root_b = root[a], root[b]
+    root_a, root_b = root[edge_a], root[edge_b]
     cross = np.flatnonzero(root_a != root_b)
-    parent = list(range(node_key.size))
-    key = node_key.tolist()
+    cross = cross[np.argsort(edge_key[cross])]
+    basins, ends = np.unique(np.concatenate([root_a[cross], root_b[cross]]), return_inverse=True)
+    x_end, y_end = ends[: cross.size], ends[cross.size :]
+    pair = np.minimum(x_end, y_end) * basins.size + np.maximum(x_end, y_end)
+    kept = np.sort(np.unique(pair, return_index=True)[1])
+    parent = list(range(basins.size))
+    key = node_key[basins].tolist()
     younger = []
     killer = []
-    for e, x, y in zip(cross.tolist(), root_a[cross].tolist(), root_b[cross].tolist()):
+    for e, x, y in zip(cross[kept].tolist(), x_end[kept].tolist(), y_end[kept].tolist()):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
@@ -151,8 +163,8 @@ def _elder_merge(node_key, edge_a, edge_b, edge_key):
         parent[y] = x
         younger.append(y)
         killer.append(e)
-    younger = np.concatenate([child, np.array(younger, dtype=np.int64)])
-    killer = entry[np.concatenate([tree_edge, np.array(killer, dtype=np.int64)])]
+    younger = np.concatenate([child, basins[np.array(younger, dtype=np.int64)]])
+    killer = np.concatenate([tree_edge, np.array(killer, dtype=np.int64)])
     return younger, killer
 
 
@@ -165,11 +177,18 @@ def _sublevel_pairs(vals, max_dim):
     nx, ny = vals.shape
     m = nx * ny
     flat = vals.ravel()  # linear index i*ny + j
-    # Total vertex order: by value, then (i, j) lexicographically.
-    order = np.argsort(flat, kind="stable")
+    # Total vertex order: by value, then (i, j) lexicographically. Without
+    # ties only one sorted order exists, so numpy's default (unstable, and
+    # on most hosts SIMD) argsort gives it; an equal neighbour in sorted
+    # order, -0.0 next to 0.0 included, means ties, and the stable sort
+    # then breaks them by linear index.
+    order = np.argsort(flat)
+    sval = flat[order]  # value of the vertex with a given rank
+    if (sval[1:] == sval[:-1]).any():
+        order = np.argsort(flat, kind="stable")
+        sval = flat[order]
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
-    sval = flat[order]  # value of the vertex with a given rank
 
     # Horizontal edges (i, j)-(i, j+1), then vertical edges (i, j)-(i+1, j),
     # each row-major. Edges enter by rank, ties in that index order.

@@ -43,18 +43,21 @@ def child_seed(seed, *path):
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def gauss_pair(rng):
-    """One Box-Muller pair of independent standard normals."""
-    u1 = 1.0 - rng.random()  # (0, 1]; keeps log() finite
-    u2 = rng.random()
-    r = math.sqrt(-2.0 * math.log(u1))
+def box_muller(u1, u2):
+    """Box-Muller pair of independent standard normals from two uniforms in [0, 1)."""
+    r = math.sqrt(-2.0 * math.log(1.0 - u1))  # 1 - u1 is in (0, 1]; keeps log() finite
     return r * math.cos(TWO_PI * u2), r * math.sin(TWO_PI * u2)
+
+
+def scaled_index(u, count):
+    """Index in [0, count) of one uniform in [0, 1): ``floor(u * count)``, capped."""
+    k = int(u * count)
+    return count - 1 if k >= count else k
 
 
 def pick_index(rng, count):
     """Uniform index in [0, count) from a single uniform draw."""
-    k = int(rng.random() * count)
-    return count - 1 if k >= count else k
+    return scaled_index(rng.random(), count)
 
 
 def pick_indices(rng, counts):

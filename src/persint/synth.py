@@ -13,6 +13,12 @@ Per-point variate order:
 * uniform square:   selector u (unused), x u, y u
 * contaminated:     selector u, then (x u, y u) square branch or (angle u)
                     circle branch
+
+Each cloud takes all its uniforms from one ``rng.random`` call, as many as
+its points could need (3 per point for the square and circle mixture, which
+uses 2 for a circle point), and reads them in the order above. The
+generator belongs to that cloud alone, so the unused tail changes nothing:
+the values equal those of one ``rng.random()`` call per variate.
 """
 
 import math
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 from .field import _open_csv, _read_float_rows, _write_csv
-from .seeding import TWO_PI, gauss_pair, make_rng, pick_index
+from .seeding import TWO_PI, box_muller, make_rng, scaled_index
 
 CIRCLE_CENTERS = ((0.0, 0.0),)
 THREE_CIRCLE_CENTERS = ((0.0, 0.0), (1.0, 0.0), (1.5, 0.5))
@@ -75,14 +81,14 @@ def gen_noisy_circles(n, centers, radius, noise_sd, seed):
         raise InvalidParameterError(f"radius must be > 0, got {radius}")
     if noise_sd < 0:
         raise InvalidParameterError(f"noise_sd must be >= 0, got {noise_sd}")
-    rng = make_rng(seed)
-    pts = np.empty((n, 2))
-    for i in range(n):
-        cx, cy = centers[pick_index(rng, len(centers))]
-        theta = TWO_PI * rng.random()
-        gx, gy = gauss_pair(rng)
-        pts[i, 0] = cx + radius * math.cos(theta) + noise_sd * gx
-        pts[i, 1] = cy + radius * math.sin(theta) + noise_sd * gy
+    u = make_rng(seed).random(4 * n).tolist()
+    pts = []
+    for pick, angle, u1, u2 in zip(u[0::4], u[1::4], u[2::4], u[3::4]):
+        cx, cy = centers[scaled_index(pick, len(centers))]
+        theta = TWO_PI * angle
+        gx, gy = box_muller(u1, u2)
+        pts += (cx + radius * math.cos(theta) + noise_sd * gx,
+                cy + radius * math.sin(theta) + noise_sd * gy)
     return PointCloud(pts)
 
 
@@ -94,29 +100,29 @@ def gen_gaussian_mixture(n, centers, sd, seed):
         raise InvalidParameterError("centers must be nonempty")
     if not sd > 0:
         raise InvalidParameterError(f"sd must be > 0, got {sd}")
-    rng = make_rng(seed)
-    pts = np.empty((n, 2))
-    for i in range(n):
-        cx, cy = centers[pick_index(rng, len(centers))]
-        gx, gy = gauss_pair(rng)
-        pts[i, 0] = cx + sd * gx
-        pts[i, 1] = cy + sd * gy
+    u = make_rng(seed).random(3 * n).tolist()
+    pts = []
+    for pick, u1, u2 in zip(u[0::3], u[1::3], u[2::3]):
+        cx, cy = centers[scaled_index(pick, len(centers))]
+        gx, gy = box_muller(u1, u2)
+        pts += (cx + sd * gx, cy + sd * gy)
     return PointCloud(pts)
 
 
-def _mixture_square_circle(n, q, lo, hi, rng):
+def _mixture_square_circle(n, q, lo, hi, seed):
     # Shared draw path for the uniform square and the contaminated mixture.
     width = hi - lo
-    pts = np.empty((n, 2))
-    for i in range(n):
-        selector = rng.random()
-        if selector < q:
-            theta = TWO_PI * rng.random()
-            pts[i, 0] = math.cos(theta)
-            pts[i, 1] = math.sin(theta)
+    u = make_rng(seed).random(3 * n).tolist()
+    pts = []
+    k = 0  # cursor into u: a circle point reads 2 uniforms, a square point 3
+    for _ in range(n):
+        if u[k] < q:
+            theta = TWO_PI * u[k + 1]
+            pts += (math.cos(theta), math.sin(theta))
+            k += 2
         else:
-            pts[i, 0] = lo + width * rng.random()
-            pts[i, 1] = lo + width * rng.random()
+            pts += (lo + width * u[k + 1], lo + width * u[k + 2])
+            k += 3
     return PointCloud(pts)
 
 
@@ -126,7 +132,7 @@ def gen_uniform_square(n, lo, hi, seed):
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise InvalidParameterError(f"lo must be < hi, got lo={lo}, hi={hi}")
-    return _mixture_square_circle(n, 0.0, lo, hi, make_rng(seed))
+    return _mixture_square_circle(n, 0.0, lo, hi, seed)
 
 
 def gen_circle_contamination(n, q, seed):
@@ -140,7 +146,7 @@ def gen_circle_contamination(n, q, seed):
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise InvalidParameterError(f"q must be in [0, 1], got {q}")
-    return _mixture_square_circle(n, q, -1.0, 1.0, make_rng(seed))
+    return _mixture_square_circle(n, q, -1.0, 1.0, seed)
 
 
 POPULATIONS = ("circle", "three-circles", "gauss3", "uniform", "contaminated")

@@ -183,6 +183,20 @@ def test_grid_spec_rejects_a_span_that_overflows(tmp_path):
     assert err.value.line == 2
 
 
+def test_grid_spec_rejects_a_step_that_underflows(tmp_path):
+    # Spans whose step or cell area rounds to zero; the codec strategies
+    # below leave them out.
+    for bounds in [(0, 1, 0, 5e-324), (-0.0, 5e-324, 0, 1), (0, 1e-200, 0, 1e-200)]:
+        with pytest.raises(InvalidParameterError, match="positive, finite cell area"):
+            GridSpec(*bounds, 3, 3)
+    assert GridSpec(-0.0, 5e-324, 0, 1, 2, 2).dx == 5e-324  # one step of one subnormal is fine
+    path = tmp_path / "field.csv"
+    path.write_text("kind,x_lo,x_hi,y_lo,y_hi,nx,ny\ndensity,0,1,0,5e-324,3,3\n" + "0,0,0\n" * 3)
+    with pytest.raises(CsvFormatError) as err:
+        read_field(path)
+    assert err.value.line == 2
+
+
 def test_cloud_csv_names_the_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "cloud.csv"
     path.write_bytes(b"x,y\n1.0,2.0\n\xff\xfe,1\n")
@@ -287,9 +301,11 @@ _positive = st.one_of(st.just(5e-324), st.floats(min_value=5e-324, allow_infinit
 
 
 def _interval(draw):
-    """Grid bounds whose span, and the product of two spans, stay finite."""
+    """Grid bounds whose span, and the product of two spans, stay finite and
+    nonzero when split into steps (see test_grid_spec_rejects_a_step_that_underflows)."""
     bound = st.one_of(_AWKWARD, st.floats(-1e150, 1e150))
-    return sorted(draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
+    pair = st.lists(bound, min_size=2, max_size=2, unique=True).map(sorted)
+    return draw(pair.filter(lambda lo_hi: lo_hi[1] - lo_hi[0] >= 1e-150))
 
 
 @st.composite

@@ -37,9 +37,9 @@ from persint.intensity import (
 from persint.analyze import l1_distance
 from persint.persistence import PersistenceDiagram, PersistencePair
 from persint.seeding import (
+    box_muller,
     child_seed,
     exponential,
-    gauss_pair,
     make_rng,
     pick_index,
     pick_indices,
@@ -147,6 +147,22 @@ def test_redrawn_observed_partition_ties_observed():
                 redrawn += 1
                 assert stat == res.statistic
     assert redrawn >= 200
+
+
+def test_cached_partitions_match_the_uncached_loop():
+    # 3 vs 3 has 20 first-slot sets, so 500 permutations repeat each many
+    # times; a repeat must return the statistic its partition gave first.
+    for t, (g1, g2, _) in enumerate(_problems(5, seed=6, sizes=(3, 3))):
+        res = permutation_test(g1, g2, B=500, seed=t)
+        pooled = _canonical(g1 + g2)
+        stack = np.stack([g.values.ravel() for g in pooled])
+        rng, idx, want = make_rng(t), list(range(6)), []
+        for _ in range(500):
+            _frozen_fisher_yates(rng, idx)
+            gap = np.abs(stack[sorted(idx[:3])].mean(axis=0) - stack[sorted(idx[3:])].mean(axis=0))
+            want.append(float(gap.sum() * pooled[0].spec.cell_area))
+        assert res.null_stats == tuple(want)
+        assert len(set(want)) <= 20
 
 
 def _frozen_bootstrap(g1, g2, B, seed):
@@ -514,7 +530,7 @@ def _frozen_synthetic_draw(seed, mean_pairs, birth_center, birth_sd, life_mean, 
     count = poisson(rng, mean_pairs)
     pairs = []
     for _ in range(count):
-        g, _unused = gauss_pair(rng)
+        g, _unused = box_muller(rng.random(), rng.random())
         birth = birth_center + birth_sd * g
         pairs.append(PersistencePair(dim, birth, birth + exponential(rng, life_mean)))
     pairs.sort(key=lambda p: (p.dim, p.birth, p.death))

@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from homology_oracle import oracle_diagram
 from persint.errors import CsvFormatError, InvalidInputError, InvalidParameterError
-from persint.field import GridField, GridSpec, kde_grid
+from persint.field import GridField, GridSpec, distance_grid, kde_grid
 from persint.persistence import (
+    DIRECTIONS,
     PersistenceDiagram,
     PersistencePair,
+    _sublevel_pairs,
     compute_persistence,
     grid_persistence,
     read_diagram,
     write_diagram,
 )
-from persint.synth import gen_uniform_square
+from persint.synth import gen_circle_contamination, gen_uniform_square
 
 
 def _random_distinct_grid(rng, max_side=6):
@@ -234,3 +237,180 @@ def test_diagram_csv_round_trip_is_exact(tmp_path_factory, rows):
     back = read_diagram(path)
     for got, want in zip(back.arrays(), diag.arrays()):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# Properties over grids with plateaus: a few levels, -0.0 next to 0.0,
+# negative values, subnormals and magnitudes up to 1e300.
+
+_LEVEL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def _plateau_grids(draw, max_side=5):
+    nx, ny = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    if nx * ny < 2:
+        ny = 2
+    levels = draw(st.lists(_LEVEL, min_size=1, max_size=4))
+    return draw(arrays(np.float64, (nx, ny), elements=st.sampled_from(levels)))
+
+
+@settings(deadline=None)
+@example(vals=np.array([[0.0, -0.0], [-0.0, 0.0]]))
+@example(vals=np.array([[1e300, -1e300, 1e300], [-0.0, 5e-324, 0.0]]))
+@given(vals=_plateau_grids())
+def test_matches_oracle_on_plateau_grids(vals):
+    for direction in DIRECTIONS:
+        got = grid_persistence(vals, direction, 1)
+        want_pairs, want_essential = _oracle_with_ties(vals, direction)
+        assert got.multiset() == want_pairs
+        assert got.essential_birth == want_essential
+
+
+@settings(deadline=None)
+@given(vals=_plateau_grids(max_side=8))
+def test_direction_duality_on_plateau_grids(vals):
+    sup = grid_persistence(vals, "superlevel", 1)
+    sub = grid_persistence(-vals, "sublevel", 1)
+    assert sup.multiset() == tuple(sorted((d, -dd, -b) for d, b, dd in sub.multiset()))
+    assert sup.essential_birth == -sub.essential_birth
+
+
+@settings(deadline=None)
+@given(
+    ints=arrays(np.int64, st.tuples(st.integers(1, 8), st.integers(2, 8)),
+                elements=st.integers(-40, 40)),
+    shift=st.integers(-1000, 1000),
+    exponent=st.integers(-1064, 990),
+    direction=st.sampled_from(DIRECTIONS),
+)
+def test_shift_equivariance_with_exact_shifts(ints, shift, exponent, direction):
+    # Small integers times one power of two: every value and every shifted
+    # value is exact, subnormals included, so the shift commutes with rounding.
+    scale = 2.0**exponent
+    vals, c = ints * scale, shift * scale
+    base = grid_persistence(vals, direction, 1)
+    shifted = grid_persistence(vals + c, direction, 1)
+    assert shifted.multiset() == tuple(sorted((d, b + c, dd + c) for d, b, dd in base.multiset()))
+    assert shifted.essential_birth == base.essential_birth + c
+
+
+# Differential test against the union-find as it stood before the global
+# edge sort was removed: a full argsort of the edge keys, a stable vertex
+# sort, and a Python loop over every crossing edge. The arrays must agree
+# element for element, in order.
+
+
+def _frozen_elder_merge(node_key, edge_a, edge_b, edge_key):
+    n_edges = edge_key.size
+    entry = np.argsort(edge_key)
+    a = edge_a[entry]
+    b = edge_b[entry]
+    first = np.full(node_key.size, n_edges)
+    step = np.arange(n_edges)
+    np.minimum.at(first, a, step)
+    np.minimum.at(first, b, step)
+    node = np.flatnonzero(first < n_edges)
+    first = first[node]
+    far = np.where(a[first] == node, b[first], a[first])
+    tree = node_key[far] > node_key[node]
+    child = node[tree]
+    tree_edge = first[tree]
+    root = np.arange(node_key.size)
+    root[child] = far[tree]
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            break
+        root = jumped
+
+    root_a, root_b = root[a], root[b]
+    cross = np.flatnonzero(root_a != root_b)
+    parent = list(range(node_key.size))
+    key = node_key.tolist()
+    younger = []
+    killer = []
+    for e, x, y in zip(cross.tolist(), root_a[cross].tolist(), root_b[cross].tolist()):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        if key[x] < key[y]:
+            x, y = y, x
+        parent[y] = x
+        younger.append(y)
+        killer.append(e)
+    younger = np.concatenate([child, np.array(younger, dtype=np.int64)])
+    killer = entry[np.concatenate([tree_edge, np.array(killer, dtype=np.int64)])]
+    return younger, killer
+
+
+def _frozen_sublevel_pairs(vals, max_dim):
+    nx, ny = vals.shape
+    m = nx * ny
+    flat = vals.ravel()
+    order = np.argsort(flat, kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    sval = flat[order]
+    lin = np.arange(m).reshape(nx, ny)
+    edge_a = np.concatenate([lin[:, :-1].ravel(), lin[:-1, :].ravel()])
+    edge_b = np.concatenate([lin[:, 1:].ravel(), lin[1:, :].ravel()])
+    edge_rank = np.maximum(rank[edge_a], rank[edge_b])
+    edge_key = edge_rank * edge_rank.size + np.arange(edge_rank.size)
+    younger, killer = _frozen_elder_merge(-rank, edge_a, edge_b, edge_key)
+    births = [flat[younger]]
+    deaths = [sval[edge_rank[killer]]]
+    dims = [np.zeros(younger.size, dtype=np.int64)]
+    if max_dim >= 1 and nx >= 2 and ny >= 2:
+        r2 = rank.reshape(nx, ny)
+        sq_rank = np.maximum(
+            np.maximum(r2[:-1, :-1], r2[:-1, 1:]), np.maximum(r2[1:, :-1], r2[1:, 1:])
+        ).ravel()
+        n_sq = sq_rank.size
+        dual = np.full((nx + 1, ny + 1), n_sq)
+        dual[1:-1, 1:-1] = np.arange(n_sq).reshape(nx - 1, ny - 1)
+        dual_a = np.concatenate([dual[:-1, 1:-1].ravel(), dual[1:-1, :-1].ravel()])
+        dual_b = np.concatenate([dual[1:, 1:-1].ravel(), dual[1:-1, 1:].ravel()])
+        sq_key = np.append(sq_rank * n_sq + np.arange(n_sq), m * n_sq)
+        younger, killer = _frozen_elder_merge(sq_key, dual_a, dual_b, -edge_key)
+        births.append(sval[edge_rank[killer]])
+        deaths.append(sval[sq_rank[younger]])
+        dims.append(np.ones(younger.size, dtype=np.int64))
+    dims, births, deaths = (np.concatenate(x) for x in (dims, births, deaths))
+    keep = births != deaths
+    return dims[keep], births[keep], deaths[keep], float(sval[0])
+
+
+def _differential_fields():
+    """(name, values handed to the sublevel engine, max_dim), seeded."""
+    rng = np.random.default_rng(44)
+    box = GridSpec(-1.8, 1.8, -1.8, 1.8, 2, 2)
+    for s in range(3):
+        cloud = gen_circle_contamination(200, 0.1 * s, 900 + s)
+        for side, h, max_dim in ((64, 0.1, 0), (128, 0.1, 1)):
+            spec = GridSpec(box.x_lo, box.x_hi, box.y_lo, box.y_hi, side, side)
+            yield f"kde{side}-{s}", -kde_grid(cloud, h, spec).values, max_dim
+        spec = GridSpec(box.x_lo, box.x_hi, box.y_lo, box.y_hi, 96, 96)
+        yield f"dist96-{s}", distance_grid(cloud, spec).values, 1
+        yield f"noise-{s}", rng.normal(size=(48, 40)), 1
+        yield f"ties-{s}", np.round(rng.normal(size=(40, 48)) * 2.0) / 2.0, 1
+        yield f"zeros-{s}", np.where(rng.random((24, 24)) < 0.5, -0.0, 0.0), 1
+
+
+_DIFFERENTIAL_FIELDS = list(_differential_fields())
+
+
+@pytest.mark.parametrize(
+    ("name", "vals", "max_dim"), _DIFFERENTIAL_FIELDS, ids=[f[0] for f in _DIFFERENTIAL_FIELDS]
+)
+def test_sublevel_pairs_match_the_frozen_union_find(name, vals, max_dim):
+    got, want = _sublevel_pairs(vals, max_dim), _frozen_sublevel_pairs(vals, max_dim)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[3] == want[3]
+    assert len(got[0]) > 0 or name.startswith("zeros")

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from persint.errors import CsvFormatError, InvalidParameterError
+from persint.seeding import make_rng
 from persint.synth import (
+    CIRCLE_CENTERS,
     GAUSS3_CENTERS,
+    THREE_CIRCLE_CENTERS,
     PointCloud,
     gen_circle_contamination,
     gen_gaussian_mixture,
@@ -172,3 +175,81 @@ def test_pointcloud_rejects_nonfinite():
 
     with pytest.raises(InvalidInputError):
         PointCloud(np.array([[0.0, np.inf]]))
+
+
+# Differential test against the per-point generator loops as they stood
+# before each cloud's uniforms came from one rng.random call: one scalar
+# rng.random() per variate, with the seeding helpers' transforms inlined.
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _frozen_pick(rng, count):
+    k = int(rng.random() * count)
+    return count - 1 if k >= count else k
+
+
+def _frozen_gauss_pair(rng):
+    u1 = 1.0 - rng.random()
+    u2 = rng.random()
+    r = math.sqrt(-2.0 * math.log(u1))
+    return r * math.cos(_TWO_PI * u2), r * math.sin(_TWO_PI * u2)
+
+
+def _frozen_noisy_circles(n, centers, radius, noise_sd, seed):
+    rng = make_rng(seed)
+    pts = np.empty((n, 2))
+    for i in range(n):
+        cx, cy = centers[_frozen_pick(rng, len(centers))]
+        theta = _TWO_PI * rng.random()
+        gx, gy = _frozen_gauss_pair(rng)
+        pts[i, 0] = cx + radius * math.cos(theta) + noise_sd * gx
+        pts[i, 1] = cy + radius * math.sin(theta) + noise_sd * gy
+    return pts
+
+
+def _frozen_gaussian_mixture(n, centers, sd, seed):
+    rng = make_rng(seed)
+    pts = np.empty((n, 2))
+    for i in range(n):
+        cx, cy = centers[_frozen_pick(rng, len(centers))]
+        gx, gy = _frozen_gauss_pair(rng)
+        pts[i, 0] = cx + sd * gx
+        pts[i, 1] = cy + sd * gy
+    return pts
+
+
+def _frozen_square_circle(n, q, lo, hi, seed):
+    rng = make_rng(seed)
+    width = hi - lo
+    pts = np.empty((n, 2))
+    for i in range(n):
+        if rng.random() < q:
+            theta = _TWO_PI * rng.random()
+            pts[i, 0] = math.cos(theta)
+            pts[i, 1] = math.sin(theta)
+        else:
+            pts[i, 0] = lo + width * rng.random()
+            pts[i, 1] = lo + width * rng.random()
+    return pts
+
+
+def _generator_pairs(n, seed):
+    """(new cloud, frozen points) for every generator and parameter set."""
+    yield gen_uniform_square(n, -1.0, 1.0, seed), _frozen_square_circle(n, 0.0, -1.0, 1.0, seed)
+    yield gen_uniform_square(n, 0.0, 3.0, seed), _frozen_square_circle(n, 0.0, 0.0, 3.0, seed)
+    for q in (0.0, 0.05, 0.5, 1.0):
+        yield gen_circle_contamination(n, q, seed), _frozen_square_circle(n, q, -1.0, 1.0, seed)
+    for centers, radius, sd in ((CIRCLE_CENTERS, 1.0, 0.1), (THREE_CIRCLE_CENTERS, 0.25, 0.05)):
+        yield (gen_noisy_circles(n, centers, radius, sd, seed),
+               _frozen_noisy_circles(n, centers, radius, sd, seed))
+    yield (gen_gaussian_mixture(n, GAUSS3_CENTERS, 0.2, seed),
+           _frozen_gaussian_mixture(n, GAUSS3_CENTERS, 0.2, seed))
+
+
+def test_generators_match_the_frozen_per_point_loops():
+    for seed in range(250):
+        for n in (0, 1, 2, 1 + seed % 40):
+            for cloud, want in _generator_pairs(n, seed):
+                assert cloud.points.shape == want.shape
+                assert cloud.points.tobytes() == want.tobytes()
