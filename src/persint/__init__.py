@@ -54,13 +54,12 @@ from .inference import (
     PowerCurve,
     TestResult,
     bias_scaling_study,
-    bootstrap_zscore,
     mise_study,
     normality_check,
     permutation_test,
     power_study,
     two_sample_statistic,
 )
-from .config import ExperimentConfig, load_config, validate_config
+from .config import ExperimentConfig, load_config
 from .pipelines import RunManifest, run_fig2, run_fig4, run_mise
 from .seeding import child_seed, make_rng

@@ -145,8 +145,15 @@ def similarity_from_distance(d, scale):
     return np.exp(-d.entries / scale)
 
 
-def _normalized_laplacian(s):
-    """L_sym = I - D^-1/2 S D^-1/2 of a similarity matrix S, and D^-1/2 as a vector."""
+def spectral_embed(s, k, rescale_degree=False, row_normalize=False, skip_trivial=False):
+    """Eigenvectors of the k smallest eigenvalues of the normalized Laplacian.
+
+    Forms L_sym = I - D^-1/2 S D^-1/2 and embeds items by its bottom-k
+    eigenvectors (including the trivial constant one unless
+    ``skip_trivial``). ``rescale_degree`` applies the D^-1/2 row rescaling;
+    ``row_normalize`` scales each embedded row to unit norm. Both default
+    off.
+    """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInputError(f"similarity matrix must be square, got {s.shape}")
@@ -158,24 +165,11 @@ def _normalized_laplacian(s):
     if np.any(deg <= 0):
         raise DegenerateGraphError("similarity graph has a zero-degree node")
     dinv = 1.0 / np.sqrt(deg)
-    return np.eye(len(s)) - dinv[:, None] * s * dinv[None, :], dinv
-
-
-def spectral_embed(s, k, rescale_degree=False, row_normalize=False, skip_trivial=False):
-    """Eigenvectors of the k smallest eigenvalues of the normalized Laplacian.
-
-    Forms L_sym = I - D^-1/2 S D^-1/2 and embeds items by its bottom-k
-    eigenvectors (including the trivial constant one unless
-    ``skip_trivial``). ``rescale_degree`` applies the D^-1/2 row rescaling;
-    ``row_normalize`` scales each embedded row to unit norm. Both default
-    off.
-    """
-    lap, dinv = _normalized_laplacian(s)
-    n = len(lap)
+    n = len(s)
     take = k + 1 if skip_trivial else k
     if not 1 <= take <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    evals, evecs = np.linalg.eigh(lap)
+    _, evecs = np.linalg.eigh(np.eye(n) - dinv[:, None] * s * dinv[None, :])
     coords = evecs[:, (1 if skip_trivial else 0) : take].copy()
     if rescale_degree:
         coords *= dinv[:, None]
@@ -184,11 +178,6 @@ def spectral_embed(s, k, rescale_degree=False, row_normalize=False, skip_trivial
         norms[norms == 0] = 1.0
         coords = coords / norms
     return Embedding(coords=_fix_signs(coords), method="spectral")
-
-
-def laplacian_eigenvalues(s):
-    """Eigenvalues of L_sym, ascending; exposed for diagnostics and tests."""
-    return np.linalg.eigvalsh(_normalized_laplacian(s)[0])
 
 
 _RESTARTS, _MAX_ITER = 10, 300  # k-means starts, and Lloyd steps per start at most
@@ -227,8 +216,10 @@ def _lloyd(x, centers):
 
 def kmeans(embedding, k, seed):
     """Seeded k-means: greedy farthest-point init, Lloyd iterations, best of
-    ``_RESTARTS`` runs by inertia."""
-    x = embedding.coords if isinstance(embedding, Embedding) else np.asarray(embedding, float)
+    ``_RESTARTS`` runs by inertia. A raw (n, k) array is checked as an Embedding."""
+    if not isinstance(embedding, Embedding):
+        embedding = Embedding(coords=embedding, method="raw")
+    x = embedding.coords
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -254,6 +245,10 @@ def confusion_matrix(true_labels, assigned_labels, n_classes=None, n_clusters=No
         n_classes = int(t.max(initial=-1)) + 1
     if n_clusters is None:
         n_clusters = int(a.max(initial=-1)) + 1
+    for kind, labels, size in (("true", t, n_classes), ("assigned", a, n_clusters)):
+        outside = labels[(labels < 0) | (labels >= size)]
+        if outside.size:
+            raise InvalidInputError(f"{kind} label {outside[0]} is outside [0, {size})")
     table = np.zeros((n_classes, n_clusters), dtype=np.int64)
     for ti, ai in zip(t.tolist(), a.tolist()):
         table[ti, ai] += 1

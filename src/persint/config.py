@@ -220,10 +220,3 @@ def load_config(path, **overrides):
         raw.update((key, value) for key, value in overrides.items() if value is not None)
     return config_from_dict(raw)
 
-
-def validate_config(path):
-    """All violations in a config file (empty list means valid)."""
-    try:
-        return validate_config_dict(_read_json(path))
-    except ConfigError as exc:
-        return exc.errors

@@ -13,9 +13,9 @@ min(n1, n2) slots to one group. With the statistic symmetric in its
 arguments, the reported p-value is therefore invariant to swapping the two
 input groups under the same seed.
 
-The observed, permuted and bootstrap statistics come from one kernel that
-sums each group's grids in this canonical order, so the statistic is a
-function of the partition alone. Floating-point sums depend on their order:
+The observed and permuted statistics come from one kernel that sums each
+group's grids in this canonical order, so the statistic is a function of
+the partition alone. Floating-point sums depend on their order:
 summed in input order, a relisted group could change T1, and a permutation
 that redraws the observed partition could fall a rounding step below it and
 not count as a tie. In canonical order both are exact, and a permutation
@@ -46,7 +46,7 @@ from .intensity import (
     smooth_pooled,
 )
 from .persistence import PersistenceDiagram, compute_persistence
-from .seeding import TWO_PI, child_seed, make_rng, pick_indices, poisson
+from .seeding import box_muller, child_seed, make_rng, pick_indices, poisson
 from .synth import generate_population
 
 
@@ -196,29 +196,6 @@ def permutation_test(group1, group2, B, seed):
     )
 
 
-def bootstrap_zscore(group1, group2, B, seed):
-    """Observed statistic divided by its bootstrap standard deviation.
-
-    Each group is resampled with replacement B times; zero bootstrap
-    variance raises rather than returning NaN.
-    """
-    B = int(B)
-    if B < 2:
-        raise InvalidParameterError(f"need B >= 2 bootstrap draws, got {B}")
-    stack, rows1, rows2, area = _canonical_rows(group1, group2)
-    rng = make_rng(seed)
-
-    def resample(rows):
-        return rows[pick_indices(rng, [rows.size] * rows.size)]
-
-    # Each resample draws group 1's indices, then group 2's.
-    stats = [_mean_gap(stack, resample(rows1), resample(rows2), area) for _ in range(B)]
-    sd = float(np.std(stats, ddof=1))
-    if sd == 0.0:
-        raise DegenerateStatisticError("bootstrap variance of the statistic is zero")
-    return float(_mean_gap(stack, rows1, rows2, area) / sd)
-
-
 # ---------------------------------------------------------------------------
 # Diagram sources: seeded callables seed -> PersistenceDiagram, used by the
 # rate studies. Child-seed paths are documented at each call site.
@@ -254,16 +231,14 @@ def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, lif
     births, exponential lifetimes. Cheap enough for many-replicate studies."""
 
     def draw(seed):
-        # Three uniforms per pair, in the order of the seeding helpers: a
-        # Box-Muller pair (box_muller, first normal only), then an
-        # exponential by inversion (exponential).
+        # Three uniforms per pair: a Box-Muller pair (first normal only),
+        # then an exponential lifetime by inversion.
         rng = make_rng(seed)
         count = poisson(rng, mean_pairs)
         u = rng.random(3 * count).tolist()
         points = []
         for k in range(0, 3 * count, 3):
-            g = math.sqrt(-2.0 * math.log(1.0 - u[k])) * math.cos(TWO_PI * u[k + 1])
-            birth = birth_center + birth_sd * g
+            birth = birth_center + birth_sd * box_muller(u[k], u[k + 1])[0]
             life = -life_mean * math.log(1.0 - u[k + 2])
             points.append((birth, birth + life))
         points.sort()
@@ -367,31 +342,6 @@ def _draw(source, seed, path, count):
     return pooled_pairs([source(child_seed(seed, *path, i)) for i in range(count)])
 
 
-def _sweep_reference(source, seed, counts, taus, reps, n_ref, tau_ref, grid):
-    """Check a squared-error sweep over diagram ``counts`` and bandwidths
-    ``taus``; return its grid spec and the mean intensity at ``tau_ref`` of
-    the reference diagrams ``child_seed(seed, 0, i)``, i < n_ref. The grid
-    covers their pairs plus ``_PAD_TAUS`` times the largest sweep tau."""
-    if reps < 1:
-        raise InvalidParameterError(f"need reps >= 1, got {reps}")
-    if not taus or not all(0 < t < math.inf for t in taus):
-        raise InvalidParameterError(f"sweep taus must be finite and > 0, got {taus}")
-    if not 0 < tau_ref < math.inf:
-        raise InvalidParameterError(f"tau_ref must be finite and > 0, got {tau_ref}")
-    if not 1 <= min(counts) <= max(counts) < n_ref:
-        raise InvalidParameterError(
-            f"need 1 <= N < n_ref for every sweep N, got N={counts} and n_ref={n_ref}"
-        )
-    pairs = _draw(source, seed, (0,), n_ref)
-    spec = box_spec(pairs[0], pairs[1], _PAD_TAUS * max(taus), *grid)
-    return spec, mean_intensity_values(*pairs, tau_ref, spec)
-
-
-def _ise(pairs, tau, spec, ref):
-    """Integrated squared error against ``ref`` of the mean intensity of pooled pairs."""
-    return float(((mean_intensity_values(*pairs, tau, spec) - ref) ** 2).sum() * spec.cell_area)
-
-
 def mise_study(source, n_values, tau_scale, reps, seed, n_ref=None, tau_ref=None, grid=(64, 64)):
     """Integrated squared error of the N-averaged intensity vs a reference.
 
@@ -408,12 +358,29 @@ def mise_study(source, n_values, tau_scale, reps, seed, n_ref=None, tau_ref=None
     n_ref = 20 * max(n_values) if n_ref is None else n_ref
     tau_ref = 0.5 * min(taus) if tau_ref is None else tau_ref
 
+    if reps < 1:
+        raise InvalidParameterError(f"need reps >= 1, got {reps}")
+    if not all(0 < t < math.inf for t in taus):
+        raise InvalidParameterError(f"sweep taus must be finite and > 0, got {taus}")
+    if not 0 < tau_ref < math.inf:
+        raise InvalidParameterError(f"tau_ref must be finite and > 0, got {tau_ref}")
+    if not max(n_values) < n_ref:
+        raise InvalidParameterError(
+            f"need 1 <= N < n_ref for every sweep N, got N={n_values} and n_ref={n_ref}"
+        )
+
     # Reference seeds: child_seed(seed, 0, i); sweep: child_seed(seed, 1, N_index, rep, i).
-    spec, ref = _sweep_reference(source, seed, n_values, taus, reps, n_ref, tau_ref, grid)
+    # The grid covers the reference pairs plus _PAD_TAUS times the largest sweep tau.
+    pairs = _draw(source, seed, (0,), n_ref)
+    spec = box_spec(pairs[0], pairs[1], _PAD_TAUS * max(taus), *grid)
+    ref = mean_intensity_values(*pairs, tau_ref, spec)
     mise = []
     for ni, (n, tau) in enumerate(zip(n_values, taus)):
-        ises = [_ise(_draw(source, seed, (1, ni, rep), n), tau, spec, ref) for rep in range(reps)]
-        mise.append(sum(ises) / reps)
+        ise = 0.0  # integrated squared error, summed over the repetitions
+        for rep in range(reps):
+            err = mean_intensity_values(*_draw(source, seed, (1, ni, rep), n), tau, spec) - ref
+            ise += float((err**2).sum() * spec.cell_area)
+        mise.append(ise / reps)
     slope = loglog_slope(n_values, mise) if len(n_values) >= 2 else None
     return MiseCurve(
         n_values=n_values,
@@ -422,20 +389,6 @@ def mise_study(source, n_values, tau_scale, reps, seed, n_ref=None, tau_ref=None
         tau_rule=f"tau = {tau_scale} * N^(-1/6); tau_ref = {tau_ref}, n_ref = {n_ref}",
         slope=slope,
     )
-
-
-def tau_mise_sweep(source, n_diagrams, taus, reps, seed, n_ref, tau_ref, grid=(64, 64)):
-    """Integrated squared error vs reference across bandwidths at fixed N.
-
-    Companion to :func:`mise_study` for scanning the bias-variance
-    trade-off in tau directly.
-    """
-    taus = tuple(float(t) for t in taus)
-    spec, ref = _sweep_reference(source, seed, (n_diagrams,), taus, reps, n_ref, tau_ref, grid)
-    # The same diagrams are reused across taus (paired comparison), so the
-    # curve shape reflects the bandwidth alone.
-    rep_pairs = [_draw(source, seed, (1, rep), n_diagrams) for rep in range(reps)]
-    return [sum(_ise(pairs, tau, spec, ref) for pairs in rep_pairs) / reps for tau in taus]
 
 
 def std_normal_cdf(z):

@@ -67,11 +67,6 @@ def pick_indices(rng, counts):
     return np.minimum(k, counts - 1)
 
 
-def exponential(rng, mean):
-    """Exponential variate by inversion."""
-    return -mean * math.log(1.0 - rng.random())
-
-
 def poisson(rng, lam):
     """Poisson count by Knuth's product-of-uniforms inversion."""
     limit = math.exp(-lam)

@@ -12,7 +12,6 @@ from persint.analyze import (
     distance_matrix,
     kmeans,
     l1_distance,
-    laplacian_eigenvalues,
     read_matrix,
     similarity_from_distance,
     spectral_embed,
@@ -150,9 +149,6 @@ def test_similarity():
 
 def test_spectral_complete_graph():
     s = np.ones((6, 6))
-    evals = laplacian_eigenvalues(s)
-    assert abs(evals[0]) < 1e-9
-    assert np.all(evals >= -1e-9) and np.all(evals <= 2 + 1e-9)
     emb = spectral_embed(s, 1)
     col = emb.coords[:, 0]
     assert np.allclose(col, col[0], atol=1e-9)  # constant eigenvector
@@ -165,9 +161,6 @@ def test_spectral_three_blocks():
     for block in (slice(0, 3), slice(3, 6), slice(6, 9)):
         s[block, block] = 1.0
     s = (s + s.T) / 2
-    evals = laplacian_eigenvalues(s)
-    assert np.all(evals[:3] < 0.01)
-    assert evals[3] > 0.5  # clear eigengap
     emb = spectral_embed(s, 3)
     labels = kmeans(emb, 3, seed=1).labels
     assert len({tuple(labels[i : i + 3]) for i in (0, 3, 6)}) == 3
@@ -181,12 +174,12 @@ def test_spectral_validation():
     with pytest.raises(InvalidInputError):
         spectral_embed(np.array([[1.0, 0.5], [0.4, 1.0]]), 1)  # asymmetric
     with pytest.raises(DegenerateGraphError):
-        laplacian_eigenvalues(np.zeros((3, 3)))
+        spectral_embed(np.zeros((3, 3)), 1)
 
 
-def test_laplacian_eigenvalues_share_spectral_embed_checks():
+def test_spectral_embed_checks_list_and_array_alike():
     s = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]]
-    assert np.array_equal(laplacian_eigenvalues(s), laplacian_eigenvalues(np.array(s)))
+    assert np.array_equal(spectral_embed(s, 2).coords, spectral_embed(np.array(s), 2).coords)
     bad = [
         (np.array([[1.0, 2.0], [2.0, 1.0]]), InvalidInputError),  # entries > 1
         (np.array([[1.0, 0.5], [0.4, 1.0]]), InvalidInputError),  # asymmetric
@@ -196,8 +189,6 @@ def test_laplacian_eigenvalues_share_spectral_embed_checks():
     for matrix, error in bad:
         with pytest.raises(error):
             spectral_embed(matrix, 1)
-        with pytest.raises(error):
-            laplacian_eigenvalues(matrix)
 
 
 def test_spectral_toggles():
@@ -252,6 +243,16 @@ def test_kmeans_parameter_errors():
         kmeans(Embedding(coords=pts, method="mds"), 4, seed=0)
 
 
+def test_kmeans_checks_a_raw_array_as_an_embedding():
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0], [10.0, 10.0]])
+    raw, wrapped = kmeans(pts, 2, seed=3), kmeans(Embedding(coords=pts, method="mds"), 2, seed=3)
+    assert raw.labels.tolist() == wrapped.labels.tolist() and raw.inertia == wrapped.inertia
+    with pytest.raises(InvalidInputError, match="finite"):
+        kmeans(np.array([[0.0, np.nan], [1.0, 1.0]]), 1, seed=0)
+    with pytest.raises(InvalidInputError, match=r"\(n, k\)"):
+        kmeans(np.array([1.0, 2.0, 3.0]), 1, seed=0)
+
+
 def test_confusion_matrix():
     table = confusion_matrix([0, 0, 1, 1, 2], [0, 0, 1, 1, 2])
     assert np.array_equal(table, np.diag([2, 2, 1]))
@@ -260,6 +261,20 @@ def test_confusion_matrix():
     assert np.array_equal(table, np.array([[0, 1], [0, 0], [2, 0]]))
     with pytest.raises(InvalidInputError):
         confusion_matrix([0, 1], [0])
+
+
+@pytest.mark.parametrize(
+    "true, assigned, sizes, message",
+    [
+        pytest.param([0, -1], [0, 0], {}, "true label -1 is outside", id="negative_true"),
+        pytest.param([0, 2], [0, 0], dict(n_classes=2), "true label 2 is", id="true_at_n_classes"),
+        pytest.param([0, 0], [0, -3], {}, "assigned label -3 is", id="negative_assigned"),
+        pytest.param([0, 0], [1, 0], dict(n_clusters=1), "assigned label 1 is", id="at_n_clusters"),
+    ],
+)
+def test_confusion_rejects_a_label_outside_the_table(true, assigned, sizes, message):
+    with pytest.raises(InvalidInputError, match=message):
+        confusion_matrix(true, assigned, **sizes)
 
 
 def test_confusion_hand_counted():

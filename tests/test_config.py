@@ -5,7 +5,6 @@ import pytest
 from persint.config import (
     config_from_dict,
     load_config,
-    validate_config,
     validate_config_dict,
 )
 from persint.errors import ConfigError
@@ -91,7 +90,6 @@ def test_load_errors(tmp_path):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert validate_config(bad) != []
     with pytest.raises(ConfigError) as err:
         load_config(bad)
     assert "JSON" in err.value.errors[0]
@@ -99,12 +97,6 @@ def test_load_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(bad)
     assert "not valid JSON" in err.value.errors[0]
-
-
-def test_validate_config_ok(tmp_path):
-    path = tmp_path / "ok.json"
-    path.write_text(json.dumps(FIG4_PAPER))
-    assert validate_config(path) == []
 
 
 def test_generator_validation():

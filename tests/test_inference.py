@@ -13,7 +13,6 @@ from persint.field import GridSpec
 from persint.inference import (
     _fisher_yates,
     bias_scaling_study,
-    bootstrap_zscore,
     field_diagram_source,
     ks_distance_to_normal,
     loglog_slope,
@@ -24,7 +23,6 @@ from persint.inference import (
     rank_values,
     spearman,
     synthetic_diagram_source,
-    tau_mise_sweep,
     two_sample_statistic,
 )
 from persint.intensity import (
@@ -39,7 +37,6 @@ from persint.persistence import PersistenceDiagram, PersistencePair
 from persint.seeding import (
     box_muller,
     child_seed,
-    exponential,
     make_rng,
     pick_index,
     pick_indices,
@@ -165,26 +162,7 @@ def test_cached_partitions_match_the_uncached_loop():
         assert len(set(want)) <= 20
 
 
-def _frozen_bootstrap(g1, g2, B, seed):
-    pooled = _canonical(g1 + g2)
-    row = {id(g): k for k, g in enumerate(pooled)}
-    stack = np.stack([g.values.ravel() for g in pooled])
-
-    def gap(r1, r2):
-        m1, m2 = stack[sorted(r1)].mean(axis=0), stack[sorted(r2)].mean(axis=0)
-        return float(np.abs(m1 - m2).sum() * pooled[0].spec.cell_area)
-
-    rng = make_rng(seed)
-    stats = []
-    for _ in range(B):
-        r1 = [row[id(g1[pick_index(rng, len(g1))])] for _ in g1]
-        r2 = [row[id(g2[pick_index(rng, len(g2))])] for _ in g2]
-        stats.append(gap(r1, r2))
-    return gap([row[id(g)] for g in g1], [row[id(g)] for g in g2]) / float(np.std(stats, ddof=1))
-
-
 def test_vectorized_draws_match_scalar_loops():
-    problems = _problems(250, seed=4)
     for s in range(250):
         n = 1 + s % 45
         idx, want = list(range(n)), list(range(n))
@@ -196,8 +174,6 @@ def test_vectorized_draws_match_scalar_loops():
         counts = [n] * n + list(range(n, 0, -1))
         assert pick_indices(rng, counts).tolist() == [pick_index(ref, c) for c in counts]
         assert rng.random() == ref.random()
-        g1, g2, _ = next(problems)
-        assert bootstrap_zscore(g1, g2, B=4, seed=s) == _frozen_bootstrap(g1, g2, 4, s)
 
 
 def test_permutation_identical_singletons():
@@ -247,34 +223,6 @@ def test_permutation_null_calibration():
 def test_permutation_needs_valid_b():
     with pytest.raises(InvalidParameterError):
         permutation_test([_const(1.0)], [_const(2.0)], B=0, seed=1)
-
-
-def test_bootstrap_degenerate():
-    g = _const(1.0)
-    with pytest.raises(DegenerateStatisticError):
-        bootstrap_zscore([g, g], [g, g], B=20, seed=3)
-
-
-def test_bootstrap_monotone_in_separation():
-    rng_grids = _random_grids(11, 6)
-    zs = []
-    for sep in (0.5, 1.5, 4.0):
-        group2 = [_const(1.0 + sep) for _ in range(6)]
-        group1 = rng_grids
-        zs.append(bootstrap_zscore(group1, group2, B=60, seed=13))
-    assert zs[0] < zs[1] < zs[2]
-
-
-def test_bootstrap_b2_contract():
-    g1 = _random_grids(14, 3)
-    g2 = _random_grids(15, 3)
-    try:
-        z = bootstrap_zscore(g1, g2, B=2, seed=5)
-        assert math.isfinite(z)
-    except DegenerateStatisticError:
-        pass
-    with pytest.raises(InvalidParameterError):
-        bootstrap_zscore(g1, g2, B=1, seed=5)
 
 
 def test_power_study_smoke_and_trend():
@@ -332,31 +280,36 @@ def test_mise_study_single_point_slope_undefined():
     assert curve.mise[0] >= 0.0
 
 
-def test_mise_study_validation():
-    source = synthetic_diagram_source()
-    with pytest.raises(InvalidParameterError):
-        mise_study(source, [8, 16], tau_scale=0.2, reps=1, seed=0, n_ref=16)
-    with pytest.raises(InvalidParameterError):
-        mise_study(source, [], tau_scale=0.2, reps=1, seed=0)
-
-
 @pytest.mark.parametrize(
-    "changes",
-    [dict(reps=0), dict(taus=[]), dict(taus=[0.05, 0.0]), dict(n_ref=8), dict(n_diagrams=0)],
+    "changes, message",
+    [
+        pytest.param(dict(n_values=[]), "n_values must be positive", id="no_N"),
+        pytest.param(dict(n_values=[8, 0]), "n_values must be positive", id="N_0"),
+        pytest.param(dict(reps=0), "need reps >= 1", id="reps_0"),
+        pytest.param(dict(tau_scale=0.0), "sweep taus must be finite", id="tau_scale_0"),
+        pytest.param(dict(tau_scale=math.inf), "sweep taus must be finite", id="tau_scale_inf"),
+        pytest.param(dict(tau_ref=0.0), "tau_ref must be finite", id="tau_ref_0"),
+        pytest.param(dict(tau_ref=math.inf), "tau_ref must be finite", id="tau_ref_inf"),
+        pytest.param(dict(n_ref=16), "need 1 <= N < n_ref", id="n_ref_max_N"),
+    ],
 )
-def test_tau_mise_sweep_validation(changes):
+def test_mise_study_validation(changes, message):
     source = synthetic_diagram_source()
-    args = dict(n_diagrams=8, taus=[0.05, 0.1], reps=2, seed=0, n_ref=40, tau_ref=0.02)
-    with pytest.raises(InvalidParameterError):
-        tau_mise_sweep(source, **{**args, **changes}, grid=(16, 16))
+    args = dict(n_values=[8, 16], tau_scale=0.2, reps=1, seed=0, n_ref=40)
+    with pytest.raises(InvalidParameterError, match=message):
+        mise_study(source, **{**args, **changes}, grid=(16, 16))
 
 
 def test_tau_sweep_is_u_shaped():
+    # At a fixed N the rate rule pins tau to tau_scale; every call draws the
+    # same diagrams, so the curve shape reflects the bandwidth alone.
     source = synthetic_diagram_source(mean_pairs=6.0, birth_sd=0.12, life_mean=0.2)
-    taus = (0.004, 0.05, 0.8)
-    mises = tau_mise_sweep(
-        source, n_diagrams=8, taus=taus, reps=4, seed=31, n_ref=400, tau_ref=0.02, grid=(48, 48)
-    )
+    mises = [
+        mise_study(
+            source, [8], tau * 8 ** (1 / 6), reps=4, seed=31, n_ref=400, tau_ref=0.02, grid=(48, 48)
+        ).mise[0]
+        for tau in (0.004, 0.05, 0.8)
+    ]
     # minimum strictly inside the tau range: variance blows up on the left,
     # bias on the right
     assert mises[1] < mises[0]
@@ -487,24 +440,6 @@ def test_mise_study_equals_per_diagram_loop():
     assert curve.mise == _frozen_mise(source, **args, n_ref=90, grid=(40, 36))
 
 
-def test_tau_mise_sweep_equals_per_diagram_loop():
-    source = synthetic_diagram_source(mean_pairs=6.0, birth_sd=0.12, life_mean=0.2)
-    taus = (0.004, 0.05, 0.8)
-    got = tau_mise_sweep(source, 19, taus, 3, 31, n_ref=60, tau_ref=0.02, grid=(48, 48))
-    ref_diagrams = [source(child_seed(31, 0, i)) for i in range(60)]
-    spec = default_intensity_spec(ref_diagrams, max(taus), 48, 48)
-    ref = _frozen_mean(ref_diagrams, 0.02, spec)
-    want = []
-    for tau in taus:
-        total = 0.0
-        for rep in range(3):
-            diagrams = [source(child_seed(31, 1, rep, i)) for i in range(19)]
-            acc = _frozen_mean(diagrams, tau, spec)
-            total += float(((acc - ref) ** 2).sum() * spec.cell_area)
-        want.append(total / 3)
-    assert got == want
-
-
 def test_bias_scaling_equals_pooled_einsum():
     source = synthetic_diagram_source(mean_pairs=8.0, birth_sd=0.35, life_mean=0.45)
     taus, tau_ref, num = (0.04, 0.08, 0.16), 0.15, 60
@@ -532,7 +467,8 @@ def _frozen_synthetic_draw(seed, mean_pairs, birth_center, birth_sd, life_mean, 
     for _ in range(count):
         g, _unused = box_muller(rng.random(), rng.random())
         birth = birth_center + birth_sd * g
-        pairs.append(PersistencePair(dim, birth, birth + exponential(rng, life_mean)))
+        life = -life_mean * math.log(1.0 - rng.random())
+        pairs.append(PersistencePair(dim, birth, birth + life))
     pairs.sort(key=lambda p: (p.dim, p.birth, p.death))
     return PersistenceDiagram.from_pairs(pairs, direction="superlevel")
 
