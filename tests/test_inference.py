@@ -280,6 +280,14 @@ def test_mise_study_single_point_slope_undefined():
     assert curve.mise[0] >= 0.0
 
 
+def test_mise_study_validation():
+    source = synthetic_diagram_source()
+    with pytest.raises(InvalidParameterError):
+        mise_study(source, [8, 16], tau_scale=0.2, reps=1, seed=0, n_ref=16)
+    with pytest.raises(InvalidParameterError):
+        mise_study(source, [], tau_scale=0.2, reps=1, seed=0)
+
+
 @pytest.mark.parametrize(
     "changes, message",
     [
@@ -293,7 +301,7 @@ def test_mise_study_single_point_slope_undefined():
         pytest.param(dict(n_ref=16), "need 1 <= N < n_ref", id="n_ref_max_N"),
     ],
 )
-def test_mise_study_validation(changes, message):
+def test_mise_study_rejects(changes, message):
     source = synthetic_diagram_source()
     args = dict(n_values=[8, 16], tau_scale=0.2, reps=1, seed=0, n_ref=40)
     with pytest.raises(InvalidParameterError, match=message):
