@@ -24,7 +24,7 @@ from .analyze import (
     write_embedding,
     write_matrix,
 )
-from .config import _expect_experiment, load_config
+from .config import load_config
 from .errors import ConfigError, InvalidInputError, PersintError
 from .field import (
     GridSpec,
@@ -45,7 +45,7 @@ from .intensity import (
     write_intensity,
 )
 from .persistence import compute_persistence, read_diagram, write_diagram
-from .pipelines import run_fig2, run_fig4, run_mise, write_mise_curve, write_power_curve
+from .pipelines import run_fig2, run_fig4, run_mise
 from .synth import POPULATIONS, generate_population, read_cloud, write_cloud
 
 
@@ -85,7 +85,7 @@ def _build_parser():
     p.add_argument("--maxdim", type=int, choices=(0, 1), default=1)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("intensity", help="smooth a diagram (or average intensities: intensity avg)")
+    p = sub.add_parser("intensity", help="smooth a diagram into an intensity grid")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--g0", type=float, default=1.0)
@@ -118,7 +118,7 @@ def _build_parser():
     p.add_argument("--row-normalize", action="store_true", help="normalize embedded rows")
     p.add_argument("--out", required=True)
 
-    infer = sub.add_parser("infer", help="two-sample tests and rate studies")
+    infer = sub.add_parser("infer", help="permutation two-sample test")
     isub = infer.add_subparsers(dest="infer_command", required=True)
     p = isub.add_parser("test", help="permutation two-sample test on intensity dirs")
     p.add_argument("--a", required=True, help="directory of intensity CSVs (group 1)")
@@ -126,12 +126,6 @@ def _build_parser():
     p.add_argument("--perms", type=int, default=1000)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--json", dest="json_out", required=True)
-    p = isub.add_parser("power", help="power sweep from a fig4 config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p = isub.add_parser("mise", help="integrated-squared-error sweep from a mise config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
 
     run = sub.add_parser("run", help="run a canned experiment from a config file")
     rsub = run.add_subparsers(dest="run_command", required=True)
@@ -237,27 +231,14 @@ def _read_intensity_dir(path):
 
 
 def _cmd_infer(args):
-    if args.infer_command == "test":
-        res = permutation_test(
-            _read_intensity_dir(args.a),
-            _read_intensity_dir(args.b),
-            args.perms,
-            _effective_seed(args),
-        )
-        _write_json(args.json_out, res.to_dict())
-        print(f"T1={res.statistic!r} p={res.p_value!r} B={res.permutations}")
-        return 0
-
-    config = load_config(args.config, seed=args.seed, threads=args.threads)
-    _expect_experiment(config, "fig4" if args.infer_command == "power" else "mise")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if args.infer_command == "power":
-        write_power_curve(config, out)
-        return 0
-    curve = write_mise_curve(config, out)
-    if curve.slope is not None:
-        print(f"loglog_slope={curve.slope!r}")
+    res = permutation_test(
+        _read_intensity_dir(args.a),
+        _read_intensity_dir(args.b),
+        args.perms,
+        _effective_seed(args),
+    )
+    _write_json(args.json_out, res.to_dict())
+    print(f"T1={res.statistic!r} p={res.p_value!r} B={res.permutations}")
     return 0
 
 
@@ -279,12 +260,6 @@ def _cmd_validate(args):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # `intensity avg` is a documented alias for the intensity-avg subcommand.
-    for i in range(len(argv) - 1):
-        if argv[i] == "intensity" and argv[i + 1] == "avg":
-            argv[i : i + 2] = ["intensity-avg"]
-            break
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -176,6 +176,9 @@ def validate_config_dict(raw):
         elif each:
             bad = [(i, v) for i, v in enumerate(value) if not ok(v)]
             errors += [f"{key}[{i}]: {message}, got {v!r}" for i, v in bad]
+            if key == "N_values" and not bad:
+                errors += [f"N_values[{i}]: repeats an earlier N, got {v!r}"
+                           for i, v in enumerate(value) if v in value[:i]]
         elif not ok(value):
             errors.append(f"{key}: {message}, got {value!r}")
         elif key == "N_ref" and value <= _largest_n(raw):

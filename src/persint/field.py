@@ -179,10 +179,11 @@ def _write_csv(path, head, rows, labels=None):
 
 
 def _write_json(path, payload):
-    """Write a JSON artifact: keys sorted, two-space indents, a final newline."""
+    """Write a JSON artifact: keys sorted, two-space indents, a final newline.
+    A NaN or infinity, which JSON cannot hold, raises ValueError before the file opens."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_field(field, path):

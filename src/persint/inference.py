@@ -330,6 +330,8 @@ def loglog_slope(xs, ys):
     ys = np.asarray(ys, dtype=np.float64)
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise InvalidInputError("log-log slope needs strictly positive values")
+    if len(set(xs.tolist())) < 2:
+        raise InvalidInputError(f"log-log slope needs two distinct x, got {xs.tolist()}")
     lx = np.log(xs)
     ly = np.log(ys)
     lx = lx - lx.mean()
@@ -354,6 +356,8 @@ def mise_study(source, n_values, tau_scale, reps, seed, n_ref=None, tau_ref=None
     n_values = tuple(int(v) for v in n_values)
     if not n_values or any(v < 1 for v in n_values):
         raise InvalidParameterError(f"n_values must be positive, got {n_values}")
+    if len(set(n_values)) < len(n_values):
+        raise InvalidParameterError(f"n_values must be distinct, got {n_values}")
     taus = tuple(tau_scale * v ** (-1.0 / 6.0) for v in n_values)
     n_ref = 20 * max(n_values) if n_ref is None else n_ref
     tau_ref = 0.5 * min(taus) if tau_ref is None else tau_ref

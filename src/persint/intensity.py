@@ -99,8 +99,8 @@ class IntensityGrid:
                 f"values shape {vals.shape} does not match grid {self.spec.nx}x{self.spec.ny}"
             )
         _check_values(vals)
-        if not self.tau > 0:
-            raise InvalidParameterError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise InvalidParameterError(f"tau must be finite and > 0, got {self.tau}")
         object.__setattr__(self, "values", vals)
 
     def mass(self):
@@ -216,8 +216,8 @@ def smooth_diagram(diagram, tau, w=DEFAULT_WEIGHTS, spec=None):
     An empty diagram yields the zero grid. If ``spec`` is omitted it is
     derived from the diagram via :func:`default_intensity_spec`.
     """
-    if not tau > 0:
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
+    if not 0 < tau < math.inf:
+        raise InvalidParameterError(f"tau must be finite and > 0, got {tau}")
     if spec is None:
         spec = default_intensity_spec([diagram], tau)
     grids, _ = smooth_pooled(*pooled_pairs([diagram], w), tau, spec)
@@ -234,8 +234,8 @@ def _values_at(births, deaths, weights, tau, points):
 
 def intensity_at(diagram, tau, points, w=DEFAULT_WEIGHTS):
     """Evaluate the smoothed intensity at arbitrary (birth, death) points."""
-    if not tau > 0:
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
+    if not 0 < tau < math.inf:
+        raise InvalidParameterError(f"tau must be finite and > 0, got {tau}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     return _values_at(*pooled_pairs([diagram], w)[:3], tau, pts)
 

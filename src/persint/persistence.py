@@ -33,8 +33,9 @@ DIRECTIONS = ("superlevel", "sublevel")
 
 
 def _bad_pairs(dims, births, deaths):
-    """Mask of the pairs that break the diagram rule: dim 0 or 1, death >= birth."""
-    return (dims != 0) & (dims != 1) | (deaths < births)
+    """Mask of the pairs that break the diagram rule: dim 0 or 1, finite, death >= birth."""
+    finite = np.isfinite(births) & np.isfinite(deaths)
+    return (dims != 0) & (dims != 1) | ~finite | (deaths < births)
 
 
 class PersistencePair(NamedTuple):
@@ -52,7 +53,7 @@ class PersistencePair(NamedTuple):
 @dataclass(eq=False)
 class PersistenceDiagram:
     """Finite multiset of persistence pairs, pair k being (dims[k], births[k], deaths[k]):
-    int64 dims and float64 births and deaths of one length, no death below its birth."""
+    int64 dims and finite float64 births and deaths of one length, no death below its birth."""
 
     dims: np.ndarray = ()
     births: np.ndarray = ()
@@ -73,7 +74,7 @@ class PersistenceDiagram:
         bad = _bad_pairs(self.dims, self.births, self.deaths)
         if bad.any():
             pair = self.pairs[bad.argmax()]
-            raise InvalidInputError(f"pair {pair} is not dim 0 or 1 or lies below the diagonal")
+            raise InvalidInputError(f"pair {pair} is not dim 0 or 1, not finite or below the diagonal")
 
     @classmethod
     def from_pairs(cls, triples, **meta):
@@ -266,7 +267,8 @@ def write_diagram(diagram, path):
 
 
 def read_diagram(path, direction="superlevel"):
-    """Read a diagram written by :func:`write_diagram`."""
+    """Read a diagram written by :func:`write_diagram`. The file holds neither the
+    direction, which the caller passes, nor the essential birth, which is None."""
     with _open_csv(path, "dim,birth,death") as reader:
         rows, lines = _read_float_rows(reader, path, width=3)
     dims, births, deaths = rows.T

@@ -164,35 +164,28 @@ def run_fig2(config, out_dir=None):
     return manifest
 
 
-def write_power_curve(config, path):
-    """Run a fig4 config's power sweep, write its curve.csv to ``path``, return it."""
-    _expect_experiment(config, "fig4")
-    curve = power_study(
-        q_values=config.q_values,
-        n=config.n,
-        N=config.N,
-        h=config.h,
-        tau=config.tau,
-        B=config.B,
-        trials=config.trials,
-        seed=config.master_seed(),
-        alphas=tuple(config.alphas),
-        field_grid=tuple(config.field_grid),
-        intensity_grid=tuple(config.intensity_grid),
-        threads=config.threads,
-    )
-    cols = ",".join(f"rate_{a}" for a in curve.alphas)
-    _write_csv(path, f"q,{cols}\n", np.column_stack([curve.q_values, *curve.rates]))
-    return curve
-
-
 def run_fig4(config, out_dir=None):
     """Two-sample power sweep over the contamination fraction q."""
     _expect_experiment(config, "fig4")
     out = _resolve_out_dir(config, out_dir)
     manifest = _new_manifest(config)
     with manifest.stage("power", {"q_values": config.q_values}) as outputs:
-        curve = write_power_curve(config, out / "curve.csv")
+        curve = power_study(
+            q_values=config.q_values,
+            n=config.n,
+            N=config.N,
+            h=config.h,
+            tau=config.tau,
+            B=config.B,
+            trials=config.trials,
+            seed=config.master_seed(),
+            alphas=tuple(config.alphas),
+            field_grid=tuple(config.field_grid),
+            intensity_grid=tuple(config.intensity_grid),
+            threads=config.threads,
+        )
+        cols = ",".join(f"rate_{a}" for a in curve.alphas)
+        _write_csv(out / "curve.csv", f"q,{cols}\n", np.column_stack([curve.q_values, *curve.rates]))
         outputs.append("curve.csv")
         rows = [[float(q), t, float(s), float(p)] for q, t, s, p in curve.records]
         _write_csv(out / "pvalues.csv", "q,trial,T1,p\n", rows)
@@ -220,30 +213,23 @@ def make_generator(spec_dict):
     raise InvalidParameterError(f"unknown generator kind {kind!r}")
 
 
-def write_mise_curve(config, path):
-    """Run a mise config's MISE sweep, write its curve.csv to ``path``, return it."""
-    _expect_experiment(config, "mise")
-    curve = mise_study(
-        source=make_generator(config.generator),
-        n_values=config.N_values,
-        tau_scale=config.tau_scale,
-        reps=config.reps,
-        seed=config.master_seed(),
-        n_ref=config.N_ref,
-        tau_ref=config.tau_ref,
-    )
-    rows = zip(curve.n_values, curve.tau_values, curve.mise)
-    _write_csv(path, "N,tau,mise\n", [[n, float(tau), float(m)] for n, tau, m in rows])
-    return curve
-
-
 def run_mise(config, out_dir=None):
     """Bandwidth-rate study: integrated squared error vs diagram count."""
     _expect_experiment(config, "mise")
     out = _resolve_out_dir(config, out_dir)
     manifest = _new_manifest(config)
     with manifest.stage("mise", {"N_values": config.N_values}) as outputs:
-        curve = write_mise_curve(config, out / "curve.csv")
+        curve = mise_study(
+            source=make_generator(config.generator),
+            n_values=config.N_values,
+            tau_scale=config.tau_scale,
+            reps=config.reps,
+            seed=config.master_seed(),
+            n_ref=config.N_ref,
+            tau_ref=config.tau_ref,
+        )
+        rows = zip(curve.n_values, curve.tau_values, curve.mise)
+        _write_csv(out / "curve.csv", "N,tau,mise\n", [[n, float(tau), float(m)] for n, tau, m in rows])
         outputs.append("curve.csv")
     manifest.extras["tau_rule"] = curve.tau_rule
     manifest.extras["loglog_slope"] = curve.slope

@@ -1,9 +1,12 @@
 import json
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from persint.analyze import read_matrix
-from persint.cli import main
+from persint.cli import _build_parser, main
 from persint.field import read_field
 from persint.intensity import read_intensity
 from persint.persistence import read_diagram
@@ -152,7 +155,7 @@ def test_intensity_avg_alias(tmp_path):
     common = ["--tau", "0.1", "--grid", "8", "8", "--bounds", "0", "1", "0", "1"]
     main(["intensity", "--in", str(diagf), *common, "--out", str(a)])
     main(["intensity", "--in", str(diagf), *common, "--out", str(b)])
-    assert main(["intensity", "avg", "--in", str(a), str(b), "--out", str(avg)]) == 0
+    assert main(["intensity-avg", "--in", str(a), str(b), "--out", str(avg)]) == 0
     ga, gavg = read_intensity(a), read_intensity(avg)
     assert np.array_equal(ga.values, gavg.values)
 
@@ -258,6 +261,15 @@ def test_infer_test_cli(tmp_path):
     assert 0 < data["p"] <= 1
 
 
+def test_intensity_rejects_an_infinite_tau(tmp_path):
+    diagf = tmp_path / "diag.csv"
+    diagf.write_text("dim,birth,death\n0,0.2,0.6\n")
+    out = tmp_path / "i.csv"
+    for bounds in ([], ["--bounds", "0", "1", "0", "1"]):
+        assert main(["intensity", "--in", str(diagf), "--tau", "inf", *bounds, "--out", str(out)]) == 3
+        assert not out.exists()
+
+
 def test_intensity_avg_mismatch_exit_code(tmp_path):
     diagf = tmp_path / "diag.csv"
     diagf.write_text("dim,birth,death\n0,0.2,0.6\n")
@@ -267,50 +279,7 @@ def test_intensity_avg_mismatch_exit_code(tmp_path):
           "--bounds", "0", "1", "0", "1", "--out", str(a)])
     main(["intensity", "--in", str(diagf), "--tau", "0.2", "--grid", "8", "8",
           "--bounds", "0", "1", "0", "1", "--out", str(b)])
-    assert main(["intensity", "avg", "--in", str(a), str(b), "--out", str(tmp_path / "avg.csv")]) == 3
-
-
-def test_infer_power_and_mise_cli(tmp_path, capsys):
-    power_cfg = _write_config(
-        tmp_path,
-        {
-            "experiment": "fig4",
-            "seed": 3,
-            "n": 40,
-            "N": 3,
-            "h": 0.15,
-            "tau": 0.05,
-            "q_values": [0.0],
-            "B": 9,
-            "trials": 2,
-            "field_grid": [16, 16],
-            "intensity_grid": [16, 16],
-        },
-        name="power.json",
-    )
-    curve = tmp_path / "power_curve.csv"
-    assert main(["infer", "power", "--config", str(power_cfg), "--out", str(curve)]) == 0
-    lines = curve.read_text().splitlines()
-    assert lines[0] == "q,rate_0.05,rate_0.01"
-    assert len(lines) == 2
-
-    mise_cfg = _write_config(
-        tmp_path,
-        {
-            "experiment": "mise",
-            "seed": 4,
-            "N_values": [2, 4],
-            "tau_scale": 0.15,
-            "reps": 1,
-            "N_ref": 12,
-            "generator": {"kind": "synthetic"},
-        },
-        name="mise.json",
-    )
-    curve2 = tmp_path / "mise_curve.csv"
-    assert main(["infer", "mise", "--config", str(mise_cfg), "--out", str(curve2)]) == 0
-    assert curve2.read_text().splitlines()[0] == "N,tau,mise"
-    assert "loglog_slope=" in capsys.readouterr().out
+    assert main(["intensity-avg", "--in", str(a), str(b), "--out", str(tmp_path / "avg.csv")]) == 3
 
 
 POWER_TINY = {
@@ -337,24 +306,37 @@ MISE_TINY = {
 }
 
 
-@pytest.mark.parametrize(("command", "payload"), [("power", POWER_TINY), ("mise", MISE_TINY)])
-def test_infer_curve_equals_run_recipe_curve(tmp_path, command, payload):
-    cfg = _write_config(tmp_path, payload)
-    curve = tmp_path / "infer.csv"
-    assert main(["infer", command, "--config", str(cfg), "--out", str(curve)]) == 0
-    run_dir = tmp_path / "run"
-    assert main(["--out-dir", str(run_dir), "run", payload["experiment"], "--config", str(cfg)]) == 0
-    assert curve.read_bytes() == (run_dir / "curve.csv").read_bytes()
+def test_run_power_and_mise_cli(tmp_path, capsys):
+    out = tmp_path / "power"
+    cfg = _write_config(tmp_path, POWER_TINY, name="power.json")
+    assert main(["--out-dir", str(out), "run", "fig4", "--config", str(cfg)]) == 0
+    lines = (out / "curve.csv").read_text().splitlines()
+    assert lines[0] == "q,rate_0.05,rate_0.01"
+    assert len(lines) == 3
+
+    out = tmp_path / "mise"
+    cfg = _write_config(tmp_path, MISE_TINY, name="mise.json")
+    assert main(["--out-dir", str(out), "run", "mise", "--config", str(cfg)]) == 0
+    assert (out / "curve.csv").read_text().splitlines()[0] == "N,tau,mise"
+    assert "loglog_slope: " in capsys.readouterr().out
 
 
-def test_global_seed_reaches_infer_as_it_reaches_run(tmp_path):
+@pytest.mark.parametrize("command", ["power", "mise"])
+def test_infer_runs_no_config_sweep(tmp_path, capsys, command):
     cfg = _write_config(tmp_path, MISE_TINY)
-    curve = tmp_path / "infer.csv"
-    assert main(["--seed", "7", "infer", "mise", "--config", str(cfg), "--out", str(curve)]) == 0
-    run_dir = tmp_path / "run"
+    assert main(["infer", command, "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_global_seed_reaches_run(tmp_path):
+    run_dir = tmp_path / "flag"
+    cfg = _write_config(tmp_path, MISE_TINY)
     assert main(["--seed", "7", "--out-dir", str(run_dir), "run", "mise", "--config", str(cfg)]) == 0
-    assert curve.read_bytes() == (run_dir / "curve.csv").read_bytes()
     assert json.loads((run_dir / "manifest.json").read_text())["master_seed"] == 7
+    seeded_dir = tmp_path / "config"
+    seeded = _write_config(tmp_path, dict(MISE_TINY, seed=7), name="seeded.json")
+    assert main(["--out-dir", str(seeded_dir), "run", "mise", "--config", str(seeded)]) == 0
+    assert (run_dir / "curve.csv").read_bytes() == (seeded_dir / "curve.csv").read_bytes()
 
 
 def test_threads_flag_overrides_the_config_even_with_one(tmp_path):
@@ -364,13 +346,6 @@ def test_threads_flag_overrides_the_config_even_with_one(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1
 
 
-def _recipe_argv(command, cfg, out):
-    if command == "run":
-        return ["--out-dir", str(out), "run", "fig4", "--config", str(cfg)]
-    return ["infer", "power", "--config", str(cfg), "--out", str(out / "curve.csv")]
-
-
-@pytest.mark.parametrize("command", ["run", "infer"])
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -378,10 +353,10 @@ def _recipe_argv(command, cfg, out):
         (["--threads", "0"], "threads: must be an integer >= 1, got 0"),
     ],
 )
-def test_global_flags_are_checked_by_the_config_rules(tmp_path, capsys, command, flags, message):
+def test_global_flags_are_checked_by_the_config_rules(tmp_path, capsys, flags, message):
     cfg = _write_config(tmp_path, POWER_TINY)
     out = tmp_path / "out"
-    assert main([*flags, *_recipe_argv(command, cfg, out)]) == 2
+    assert main([*flags, "--out-dir", str(out), "run", "fig4", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -391,19 +366,31 @@ def test_global_flags_are_checked_by_the_config_rules(tmp_path, capsys, command,
     [
         (["run", "fig2"], POWER_TINY),
         (["run", "mise"], FIG2_TINY),
-        (["infer", "power"], MISE_TINY),
-        (["infer", "mise"], POWER_TINY),
+        (["run", "fig4"], MISE_TINY),
+        (["run", "mise"], POWER_TINY),
     ],
 )
 def test_config_of_another_experiment_is_a_config_error(tmp_path, capsys, argv, payload):
     cfg = _write_config(tmp_path, payload)
     out = tmp_path / "out"
-    extra = ["--out", str(out / "curve.csv")] if argv[0] == "infer" else []
-    assert main(["--out-dir", str(out), *argv, "--config", str(cfg), *extra]) == 2
-    want = {"fig2": "fig2", "mise": "mise", "power": "fig4"}[argv[1]]
-    got = payload["experiment"]
+    assert main(["--out-dir", str(out), *argv, "--config", str(cfg)]) == 2
+    want, got = argv[1], payload["experiment"]
     assert capsys.readouterr().err == f"error: experiment: must be {want!r}, got {got!r}\n"
     assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    """Every command in README's Command-line block is one the parser accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("persint ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_validate_cli(tmp_path, capsys):

@@ -292,6 +292,10 @@ NEW_REJECTIONS = [
     ],
     (dict(MISE, N_ref=True), ["N_ref: must be an integer >= 2, got True"]),  # already rejected
     (dict(MISE, N_values=[4, True]), ["N_values[1]: must be an integer >= 1, got True"]),
+    (
+        dict(MISE, N_values=[4, 8, 4, 4]),
+        ["N_values[2]: repeats an earlier N, got 4", "N_values[3]: repeats an earlier N, got 4"],
+    ),
     (dict(FIG2, seed=True), ["seed: must be a 64-bit unsigned integer, got True"]),
     (_generator(kind="field", n=True), ["generator.n: must be an integer >= 1, got True"]),
     (dict(FIG2, save_intermediates="no"), ["save_intermediates: must be true or false, got 'no'"]),

@@ -11,6 +11,7 @@ from persint.errors import CsvFormatError, InvalidInputError, InvalidParameterEr
 from persint.field import (
     GridField,
     GridSpec,
+    _write_json,
     default_kde_spec,
     distance_grid,
     kde_grid,
@@ -161,6 +162,14 @@ def test_field_csv_errors(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         read_field(path)
     assert err.value.line == 4  # missing second value row
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_nonfinite_values(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(path, {"ok": 1.0, "slope": [value]})
+    assert not path.exists()
 
 
 def test_field_csv_rejects_infinite_grid_bounds(tmp_path):

@@ -293,6 +293,7 @@ def test_mise_study_validation():
     [
         pytest.param(dict(n_values=[]), "n_values must be positive", id="no_N"),
         pytest.param(dict(n_values=[8, 0]), "n_values must be positive", id="N_0"),
+        pytest.param(dict(n_values=[8, 16, 8]), "n_values must be distinct", id="N_repeated"),
         pytest.param(dict(reps=0), "need reps >= 1", id="reps_0"),
         pytest.param(dict(tau_scale=0.0), "sweep taus must be finite", id="tau_scale_0"),
         pytest.param(dict(tau_scale=math.inf), "sweep taus must be finite", id="tau_scale_inf"),
@@ -388,6 +389,8 @@ def test_loglog_slope():
     assert loglog_slope(xs, 3.0 / xs) == pytest.approx(-1.0, rel=1e-12)
     with pytest.raises(InvalidInputError):
         loglog_slope(xs, [1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(InvalidInputError, match="two distinct x"):
+        loglog_slope([4.0, 4.0], [1.0, 2.0])
 
 
 def test_rank_and_spearman():

@@ -140,6 +140,18 @@ def test_smooth_rejects_bad_tau():
         smooth_diagram(_diag([(0, 0.1, 0.3)]), 0.0)
 
 
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_tau_must_be_finite(tau):
+    diag = _diag([(0, 0.1, 0.3)])
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 4, 4)
+    with pytest.raises(InvalidParameterError, match="tau must be finite"):
+        IntensityGrid(spec=spec, values=np.zeros((4, 4)), tau=tau)
+    with pytest.raises(InvalidParameterError, match="tau must be finite"):
+        smooth_diagram(diag, tau, spec=spec)
+    with pytest.raises(InvalidParameterError, match="tau must be finite"):
+        intensity_at(diag, tau, [(0.1, 0.3)])
+
+
 def test_intensity_at_matches_grid_nodes():
     tau = 0.07
     diag = _diag([(0, 0.2, 0.6), (1, 0.1, 0.9)])

@@ -201,6 +201,9 @@ def test_diagram_constructor_checks_its_arrays():
     for dim in (2, -1):
         with pytest.raises(InvalidInputError, match="dim 0 or 1"):
             PersistenceDiagram([0, dim], [0.0, 0.0], [1.0, 1.0])
+    for pair in [(0, 0.0, np.nan), (1, np.nan, 1.0), (0, 0.0, np.inf), (1, -np.inf, 0.0)]:
+        with pytest.raises(InvalidInputError, match="not finite"):
+            PersistenceDiagram.from_pairs([(0, 0.0, 1.0), pair])
     with pytest.raises(InvalidInputError, match="one length"):
         PersistenceDiagram([0, 1], [0.1, 0.2], [0.3])
     with pytest.raises(InvalidInputError, match="one length"):
@@ -295,6 +298,88 @@ def test_shift_equivariance_with_exact_shifts(ints, shift, exponent, direction):
     shifted = grid_persistence(vals + c, direction, 1)
     assert shifted.multiset() == tuple(sorted((d, b + c, dd + c) for d, b, dd in base.multiset()))
     assert shifted.essential_birth == base.essential_birth + c
+
+
+# Stability: the diagrams of f and of g = f + eps lie within bottleneck
+# distance max|eps| of each other, dimension by dimension. The distance is
+# found by brute force: of the sorted candidate distances, the least at which
+# the points of each diagram plus a diagonal copy of each point of the other
+# match perfectly. No float slack is used: every distance compared is one
+# rounded difference of two stored values (halved for the diagonal), and
+# rounding is monotone, so the float comparison holds wherever the exact
+# one does.
+
+
+def _perfect_matching(adj):
+    """Whether the square boolean matrix ``adj`` admits a perfect matching."""
+    match = [-1] * adj.shape[1]
+
+    def augment(i, seen):
+        for j in np.flatnonzero(adj[i]).tolist():
+            if not seen[j]:
+                seen[j] = True
+                if match[j] < 0 or augment(match[j], seen):
+                    match[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * adj.shape[1]) for i in range(adj.shape[0]))
+
+
+def _bottleneck(a, b):
+    """Bottleneck distance between two lists of (birth, death) points, in the
+    sup norm, each point also matchable to the diagonal at half its lifetime."""
+    n, m = len(a), len(b)
+    # Rows: a's points, then the diagonal copies of b's points. Columns:
+    # b's points, then the diagonal copies of a's. Two copies match freely.
+    cost = np.full((n + m, m + n), np.inf)
+    cost[n:, m:] = 0.0
+    for i, (p, q) in enumerate(a):
+        cost[i, :m] = [max(abs(p - r), abs(q - s)) for r, s in b]
+        cost[i, m + i] = (q - p) / 2
+    for j, (r, s) in enumerate(b):
+        cost[n + j, j] = (s - r) / 2
+    candidates = sorted(set(cost[np.isfinite(cost)].tolist()))
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_matching(cost <= candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[lo] if candidates else 0.0
+
+
+def test_bottleneck_matcher_on_hand_cases():
+    assert _bottleneck([], []) == 0.0
+    assert _bottleneck([(0.0, 1.0)], []) == 0.5
+    assert _bottleneck([(0.0, 1.0)], [(0.0, 1.25)]) == 0.25
+    # Matching the long pair to the short one costs 3; the diagonal, 1.5 and 0.5.
+    assert _bottleneck([(0.0, 3.0)], [(0.0, 1.0)]) == 1.5
+    assert _bottleneck([(0.0, 4.0), (1.0, 2.0)], [(0.5, 4.0)]) == 0.5
+
+
+@st.composite
+def _perturbed_grids(draw, max_side=5):
+    """A grid f and g = f + eps, each drawn from a few levels so both have ties."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    levels = draw(st.lists(st.floats(-4, 4), min_size=1, max_size=4))
+    steps = draw(st.lists(st.floats(-1, 1), min_size=1, max_size=3))
+    f = draw(arrays(np.float64, shape, elements=st.sampled_from(levels)))
+    return f, f + draw(arrays(np.float64, shape, elements=st.sampled_from(steps)))
+
+
+@settings(deadline=None)
+@given(grids=_perturbed_grids(), direction=st.sampled_from(DIRECTIONS))
+def test_stability_under_a_perturbation(grids, direction):
+    f, g = grids
+    delta = float(np.abs(g - f).max())
+    df, dg = grid_persistence(f, direction, 1), grid_persistence(g, direction, 1)
+    for dim in (0, 1):
+        a = [(b, d) for k, b, d in df.multiset() if k == dim]
+        b = [(b, d) for k, b, d in dg.multiset() if k == dim]
+        assert _bottleneck(a, b) <= delta
+    assert abs(dg.essential_birth - df.essential_birth) <= delta
 
 
 # Differential test against the union-find as it stood before the global
