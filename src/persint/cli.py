@@ -6,7 +6,7 @@ Subcommands mirror the pipeline stages (`synth`, `field`, `persist`,
 CSV interchange formats, so any intermediate artifact can be re-fed to the
 next stage by hand.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 runtime stage error.
+Exit codes: 0 success, 2 configuration/usage error, 3 runtime stage or file error.
 """
 
 import argparse
@@ -53,7 +53,6 @@ def _build_parser():
     root = argparse.ArgumentParser(prog="persint", description=__doc__)
     root.add_argument("--version", action="version", version=f"persint {__version__}")
     root.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    root.add_argument("--threads", type=int, default=None, help="worker threads for sweeps")
     root.add_argument("--out-dir", default=None, help="output directory for run commands")
     sub = root.add_subparsers(dest="command", required=True)
 
@@ -243,7 +242,7 @@ def _cmd_infer(args):
 
 
 def _cmd_run(args):
-    config = load_config(args.config, seed=args.seed, threads=args.threads)
+    config = load_config(args.config, seed=args.seed)
     runner = {"fig2": run_fig2, "fig4": run_fig4, "mise": run_mise}[args.run_command]
     manifest = runner(config, out_dir=args.out_dir)
     for stage in manifest.stages:
@@ -285,6 +284,9 @@ def main(argv=None):
     except PersintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # a missing input file or an output path that cannot be made
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry():

@@ -49,6 +49,7 @@ _NONNEGATIVE = "must be a number >= 0", lambda v: _number(v) and not v < 0
 _UNIT = "must lie in [0, 1]", lambda v: _number(v) and 0.0 <= v <= 1.0
 _LEVEL = "must lie in (0, 1)", lambda v: _number(v) and 0.0 < v < 1.0
 _GRID = "must be [nx, ny] with integer nx, ny >= 2", lambda v: _items(v, 2, _at_least(2)[1])
+_ONE_THREAD = "must be 1 (trials run in one thread)", lambda v: _number(v, int) and v == 1
 _SEED = "must be a 64-bit unsigned integer", lambda v: _number(v, int) and 0 <= v < 2**64
 _BOUNDS = (
     "must be [x_lo, x_hi, y_lo, y_hi] with lo < hi",
@@ -97,7 +98,7 @@ def _key(experiments, rule, default=None, each=False, required=False):
 class ExperimentConfig:
     experiment: str
     seed: int | None = _key(EXPERIMENTS, _SEED)
-    threads: int = _key(EXPERIMENTS, _at_least(1), 1)
+    threads: int = _key(EXPERIMENTS, _ONE_THREAD, 1)  # kept so existing configs validate
     out_dir: str | None = _key(EXPERIMENTS, ("must be a string", lambda v: isinstance(v, str)))
     save_intermediates: bool = _key(
         EXPERIMENTS, ("must be true or false", lambda v: isinstance(v, bool)), True
@@ -176,8 +177,8 @@ def validate_config_dict(raw):
         elif each:
             bad = [(i, v) for i, v in enumerate(value) if not ok(v)]
             errors += [f"{key}[{i}]: {message}, got {v!r}" for i, v in bad]
-            if key == "N_values" and not bad:
-                errors += [f"N_values[{i}]: repeats an earlier N, got {v!r}"
+            if not bad:
+                errors += [f"{key}[{i}]: repeats an earlier entry, got {v!r}"
                            for i, v in enumerate(value) if v in value[:i]]
         elif not ok(value):
             errors.append(f"{key}: {message}, got {value!r}")
@@ -207,7 +208,7 @@ def _expect_experiment(config, name):
 
 def _read_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from None
@@ -215,11 +216,11 @@ def _read_json(path):
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from None
 
 
-def load_config(path, **overrides):
+def load_config(path, seed=None):
     """Load and validate a config file; raises ConfigError on any violation.
-    Each override that is not None replaces its key before validation."""
+    A ``seed`` that is not None replaces the config's before validation."""
     raw = _read_json(path)
-    if isinstance(raw, dict):
-        raw.update((key, value) for key, value in overrides.items() if value is not None)
+    if isinstance(raw, dict) and seed is not None:
+        raw["seed"] = seed
     return config_from_dict(raw)
 

@@ -169,7 +169,7 @@ def _write_csv(path, head, rows, labels=None):
     """
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(head)
         if labels is None:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
@@ -182,7 +182,7 @@ def _write_json(path, payload):
     """Write a JSON artifact: keys sorted, two-space indents, a final newline.
     A NaN or infinity, which JSON cannot hold, raises ValueError before the file opens."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 

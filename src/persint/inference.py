@@ -252,15 +252,6 @@ def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, lif
 # Studies
 
 
-def _map_ordered(fn, args_list, threads):
-    if threads <= 1:
-        return [fn(*a) for a in args_list]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda a: fn(*a), args_list))
-
-
 def power_trial(q, n, N, h, tau, B, trial_seed, field_grid, intensity_nx, intensity_ny):
     """One full two-sample pipeline: clouds -> KDE -> persistence -> intensity
     -> permutation test. Group 1 is the plain uniform square, group 2 the
@@ -285,13 +276,12 @@ def power_study(
     alphas=(0.05, 0.01),
     field_grid=(64, 64),
     intensity_grid=(64, 64),
-    threads=1,
 ):
     """Rejection rate of the permutation test across a contamination sweep.
 
-    Trial seeds are pre-split as child_seed(seed, 40, q_index, trial), so
-    results do not depend on scheduling. Intensity grids are shared within
-    a trial; permutations relabel the computed grids.
+    Trial seeds are pre-split as child_seed(seed, 40, q_index, trial).
+    Intensity grids are shared within a trial; permutations relabel the
+    computed grids.
     """
     q_values = tuple(float(q) for q in q_values)
     for q in q_values:
@@ -300,21 +290,18 @@ def power_study(
     if trials < 1:
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
 
-    def one(qi, q, t):
-        trial_seed = child_seed(seed, 40, qi, t)
-        try:
-            return power_trial(q, n, N, h, tau, B, trial_seed, field_grid, *intensity_grid)
-        except Exception as exc:  # noqa: BLE001 - annotate with sweep context
-            raise StageError("power-trial", {"q": q, "trial": t}, exc) from exc
-
     records = []
     rates = [[0.0] * len(q_values) for _ in alphas]
     for qi, q in enumerate(q_values):
-        results = _map_ordered(one, [(qi, q, t) for t in range(trials)], threads)
-        for t, res in enumerate(results):
+        for t in range(trials):
+            trial_seed = child_seed(seed, 40, qi, t)
+            try:
+                res = power_trial(q, n, N, h, tau, B, trial_seed, field_grid, *intensity_grid)
+            except Exception as exc:  # noqa: BLE001 - annotate with sweep context
+                raise StageError("power-trial", {"q": q, "trial": t}, exc) from exc
             records.append((q, t, res.statistic, res.p_value))
         for a, alpha in enumerate(alphas):
-            rates[a][qi] = sum(1 for r in results if r.p_value <= alpha) / trials
+            rates[a][qi] = sum(1 for *_, p in records[-trials:] if p <= alpha) / trials
     return PowerCurve(
         q_values=q_values,
         alphas=tuple(alphas),

@@ -182,7 +182,6 @@ def run_fig4(config, out_dir=None):
             alphas=tuple(config.alphas),
             field_grid=tuple(config.field_grid),
             intensity_grid=tuple(config.intensity_grid),
-            threads=config.threads,
         )
         cols = ",".join(f"rate_{a}" for a in curve.alphas)
         _write_csv(out / "curve.csv", f"q,{cols}\n", np.column_stack([curve.q_values, *curve.rates]))

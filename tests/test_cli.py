@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -339,18 +340,10 @@ def test_global_seed_reaches_run(tmp_path):
     assert (run_dir / "curve.csv").read_bytes() == (seeded_dir / "curve.csv").read_bytes()
 
 
-def test_threads_flag_overrides_the_config_even_with_one(tmp_path):
-    cfg = _write_config(tmp_path, dict(POWER_TINY, threads=2))
-    out = tmp_path / "run"
-    assert main(["--threads", "1", "--out-dir", str(out), "run", "fig4", "--config", str(cfg)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1
-
-
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--seed", "-1"], "seed: must be a 64-bit unsigned integer, got -1"),
-        (["--threads", "0"], "threads: must be an integer >= 1, got 0"),
     ],
 )
 def test_global_flags_are_checked_by_the_config_rules(tmp_path, capsys, flags, message):
@@ -359,6 +352,48 @@ def test_global_flags_are_checked_by_the_config_rules(tmp_path, capsys, flags, m
     assert main([*flags, "--out-dir", str(out), "run", "fig4", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_threads_is_no_flag(tmp_path, capsys):
+    cfg = _write_config(tmp_path, POWER_TINY)
+    out = tmp_path / "out"
+    assert main(["--threads", "2", "--out-dir", str(out), "run", "fig4", "--config", str(cfg)]) == 2
+    assert "invalid choice: '2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["synth", "--pop", "circle", "--n", "50", "--out", "nodir/c.csv"],
+            "[Errno 2] No such file or directory: 'nodir/c.csv'",
+        ),
+        (
+            ["--out-dir", "a-file", "run", "fig4", "--config", "p.json"],
+            "[Errno 17] File exists: 'a-file'",
+        ),
+        (
+            ["field", "--mode", "kde", "--h", "0.1", "--in", "missing.csv", "--out", "f.csv"],
+            "[Errno 2] No such file or directory: 'missing.csv'",
+        ),
+    ],
+)
+def test_a_missing_path_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("")
+    _write_config(tmp_path, POWER_TINY, name="p.json")
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_readme_global_flags_match_the_parser():
+    """The flags of README's "Global flags:" sentence are the root parser's options."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = readme.split("Global flags:", 1)[1].split(".\n", 1)[0]
+    listed = set(re.findall(r"`(--[a-z-]+)`", sentence))
+    options = {s for a in _build_parser()._actions for s in a.option_strings}
+    assert listed == options - {"-h", "--help", "--version"}
 
 
 @pytest.mark.parametrize(

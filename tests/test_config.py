@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import persint
 from persint.config import (
     config_from_dict,
     load_config,
@@ -85,6 +90,21 @@ def test_file_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_a_utf8_config_loads_under_an_ascii_locale(tmp_path):
+    """Config files are read and written as UTF-8 whatever the locale's encoding."""
+    cfg = config_from_dict(dict(FIG4_PAPER, out_dir="r\u00e9sum\u00e9"))
+    src = tmp_path / "cfg.json"
+    src.write_text(json.dumps(cfg.to_dict(), ensure_ascii=False), encoding="utf-8")
+    script = "import sys, persint.config as c; c.load_config(sys.argv[1]).save(sys.argv[2])"
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C.ISO-8859-1",
+               PYTHONPATH=str(Path(persint.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, src, tmp_path / "back.json"], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    cfg.save(tmp_path / "here.json")
+    assert (tmp_path / "back.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
 def test_load_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
@@ -148,8 +168,11 @@ PINNED_VIOLATIONS = [
     (dict(FIG2, seed=2**64), [f"seed: must be a 64-bit unsigned integer, got {2**64}"]),
     (dict(FIG2, seed=1.0), ["seed: must be a 64-bit unsigned integer, got 1.0"]),
     (dict(FIG2, seed=None, out_dir=None, field_bounds=None), []),
-    (dict(FIG2, threads=0), ["threads: must be an integer >= 1, got 0"]),
-    (dict(FIG2, threads=None), ["threads: must be an integer >= 1, got None"]),
+    (dict(FIG2, threads=0), ["threads: must be 1 (trials run in one thread), got 0"]),
+    (dict(FIG2, threads=2), ["threads: must be 1 (trials run in one thread), got 2"]),
+    (dict(FIG2, threads=None), ["threads: must be 1 (trials run in one thread), got None"]),
+    (dict(FIG2, threads=1.0), ["threads: must be 1 (trials run in one thread), got 1.0"]),
+    (dict(FIG2, threads=1), []),
     (dict(FIG2, n=0), ["n: must be an integer >= 1, got 0"]),
     (dict(FIG2, N=1.5), ["N: must be an integer >= 1, got 1.5"]),
     (dict(FIG2, h=0), ["h: must be a float > 0, got 0"]),
@@ -238,7 +261,7 @@ PINNED_VIOLATIONS = [
         [
             "zz: unknown configuration key",
             "seed: must be a 64-bit unsigned integer, got -1",
-            "threads: must be an integer >= 1, got 0",
+            "threads: must be 1 (trials run in one thread), got 0",
             "n: must be an integer >= 1, got 0",
             "N: must be an integer >= 1, got 0",
             "h: must be a float > 0, got 0",
@@ -286,16 +309,22 @@ NEW_REJECTIONS = [
     *[
         (dict(base, **{key: True}), [f"{key}: must be an integer >= {lo}, got True"])
         for base, key, lo in [
-            (FIG2, "n", 1), (FIG2, "N", 1), (FIG2, "threads", 1), (FIG4_PAPER, "B", 1),
+            (FIG2, "n", 1), (FIG2, "N", 1), (FIG4_PAPER, "B", 1),
             (FIG4_PAPER, "trials", 1), (MISE, "reps", 1),
         ]
     ],
+    (dict(FIG2, threads=True), ["threads: must be 1 (trials run in one thread), got True"]),
     (dict(MISE, N_ref=True), ["N_ref: must be an integer >= 2, got True"]),  # already rejected
     (dict(MISE, N_values=[4, True]), ["N_values[1]: must be an integer >= 1, got True"]),
     (
         dict(MISE, N_values=[4, 8, 4, 4]),
-        ["N_values[2]: repeats an earlier N, got 4", "N_values[3]: repeats an earlier N, got 4"],
+        [
+            "N_values[2]: repeats an earlier entry, got 4",
+            "N_values[3]: repeats an earlier entry, got 4",
+        ],
     ),
+    (dict(FIG4_PAPER, q_values=[0.0, 0]), ["q_values[1]: repeats an earlier entry, got 0"]),
+    (dict(FIG4_PAPER, alphas=[0.05, 0.1, 0.05]), ["alphas[2]: repeats an earlier entry, got 0.05"]),
     (dict(FIG2, seed=True), ["seed: must be a 64-bit unsigned integer, got True"]),
     (_generator(kind="field", n=True), ["generator.n: must be an integer >= 1, got True"]),
     (dict(FIG2, save_intermediates="no"), ["save_intermediates: must be true or false, got 'no'"]),

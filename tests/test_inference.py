@@ -8,6 +8,7 @@ from persint.errors import (
     IncompatibleGridsError,
     InvalidInputError,
     InvalidParameterError,
+    StageError,
 )
 from persint.field import GridSpec
 from persint.inference import (
@@ -246,23 +247,12 @@ def test_power_study_smoke_and_trend():
     assert curve.rates[0][1] >= curve.rates[0][0]
 
 
-def test_power_study_threads_match_serial():
-    kwargs = dict(
-        q_values=(0.0, 0.5),
-        n=40,
-        N=3,
-        h=0.2,
-        tau=0.05,
-        B=19,
-        trials=3,
-        seed=5,
-        field_grid=(16, 16),
-        intensity_grid=(16, 16),
-    )
-    serial = power_study(threads=1, **kwargs)
-    threaded = power_study(threads=4, **kwargs)
-    assert serial.records == threaded.records
-    assert serial.rates == threaded.rates
+def test_a_failed_power_trial_names_its_q_and_trial():
+    with pytest.raises(StageError) as err:
+        power_study((0.25, 0.5), 0, 2, 0.2, 0.05, 5, 2, 3, field_grid=(8, 8), intensity_grid=(8, 8))
+    assert err.value.stage == "power-trial"
+    assert err.value.params == {"q": 0.25, "trial": 0}
+    assert isinstance(err.value.cause, InvalidInputError)
 
 
 def test_power_study_validation():
