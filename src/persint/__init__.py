@@ -34,7 +34,6 @@ from .intensity import (
     IntensityGrid,
     WeightSpec,
     average_intensity,
-    intensity_at,
     smooth_diagram,
 )
 from .analyze import (

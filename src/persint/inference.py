@@ -43,7 +43,7 @@ from .intensity import (
     mean_intensity_values,
     pooled_pairs,
     smooth_diagram,
-    smooth_pooled,
+    smoothed_sum,
 )
 from .persistence import PersistenceDiagram, compute_persistence
 from .seeding import box_muller, child_seed, make_rng, pick_indices, poisson
@@ -447,16 +447,11 @@ def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256
         raise InvalidInputError("diagram process produced no pairs")
     spec = box_spec(births, deaths, _PAD_TAUS * math.hypot(max(taus), tau_ref), *grid)
 
-    def smoothed(tau):
-        # All pairs form one pooled "diagram".
-        grids, _ = smooth_pooled(births, deaths, weights, [births.size], tau, spec)
-        return grids[0]
-
-    ref = smoothed(tau_ref)
+    ref = smoothed_sum(births, deaths, weights, tau_ref, spec)
     area = spec.cell_area
     deviations = []
     for tau in taus:
-        vals = smoothed(math.hypot(tau_ref, tau))
+        vals = smoothed_sum(births, deaths, weights, math.hypot(tau_ref, tau), spec)
         deviations.append(float(np.abs(vals - ref).sum() * area))
     return BiasScaling(
         taus=taus,

@@ -8,18 +8,16 @@ weight is the lifetime times a multiplier per dimension, g0 or g1
 boundary correction is applied at the diagonal. Intensities of several
 diagrams are compared and averaged pointwise on a shared grid.
 
-All smoothing runs through one kernel, :func:`smooth_pooled`, which
-smooths a batch of diagrams per pass. Each grid value is summed pair by
-pair in stored order, ``((w_0 K_0) + w_1 K_1) + ...``, starting from zero:
-the order of a plain einsum loop. BLAS matrix products would be faster per
-grid but reassociate that sum, so written intensities would depend on the
-BLAS build and on how diagrams are batched; the fixed order keeps every
-grid bit-identical however many diagrams share a pass. :func:`intensity_at`
-sums the same terms in the same order, so at a node it equals the grid.
+All smoothing runs through one kernel, :func:`smoothed_sum`. On the grid
+the sum over pairs is a matrix product, ``(w * Bx)^T @ By / tau^2`` with
+Bx and By the kernel rows of the births and deaths, and the kernel makes
+one BLAS product per chunk of pairs. Each diagram's grid is smoothed from
+its own pairs alone, so it does not depend on which other diagrams are
+smoothed or averaged beside it, nor on the BLAS thread count. BLAS builds
+order the sums differently, so grids are equal to rounding, not bit for
+bit, across builds and hosts.
 """
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -107,13 +105,6 @@ class IntensityGrid:
         """Node-centered Riemann-sum mass of the grid."""
         return float(self.values.sum() * self.spec.cell_area)
 
-    def compatible_with(self, other):
-        return (
-            self.spec == other.spec
-            and self.tau == other.tau
-            and self.weights == other.weights
-        )
-
 
 # Default padding of an intensity grid around its pairs, in bandwidths.
 _PAD_TAUS = 4.0
@@ -125,89 +116,43 @@ def default_intensity_spec(diagrams, tau, nx=128, ny=128, pad_factor=_PAD_TAUS):
     return box_spec(births, deaths, pad_factor * tau, nx, ny)
 
 
-# The smoothing kernel's two work arrays stay near this size: averages
-# smooth as many diagrams per pass, and the kernel makes as many pair terms
-# per einsum call, as fit.
-_CHUNK_BYTES = 1 << 19
+# Pairs per matrix product. OpenBLAS splits a deeper product at points
+# that differ between its threaded and single-threaded drivers (measured
+# past 384 pairs with its SkylakeX kernels), which would make grids depend
+# on the BLAS thread count; 256 leaves a margin for kernels that split
+# shallower. It also bounds the kernel rows held at once.
+_CHUNK_PAIRS = 256
 
 
-def _grids_per_chunk(spec):
-    return max(1, _CHUNK_BYTES // (8 * spec.nx * spec.ny))
+def smoothed_sum(births, deaths, weights, tau, spec):
+    """Smoothed intensity of pooled pair arrays (see :func:`pooled_pairs`)
+    on the grid nodes: ``sum_j w_j K_tau(x - b_j) K_tau(y - d_j)``.
 
-
-def smooth_pooled(births, deaths, weights, counts, tau, spec, work=None):
-    """Smoothed values of a batch of diagrams given as pooled pair arrays.
-
-    Diagram k owns the next ``counts[k]`` entries of the pair arrays (see
-    :func:`pooled_pairs`). Returns ``(grids, slots)``: an (m, nx, ny) array
-    and the row ``slots[k]`` that holds diagram k's grid. Callers that
-    smooth many batches pass ``work``, a (2, K, nx, ny) array with K >= m
-    for the sums and the pair terms; the grids are then a view of it that
-    the next call overwrites.
-
-    Every value is summed from zero pair by pair in stored order, so each
-    grid equals ``np.einsum("p,pi,pj->ij", w, bx, by, optimize=False) /
-    tau**2`` of its diagram alone, bit for bit. The diagrams are sorted by
-    pair count, largest first, and their pairs laid out step-major, so step
-    k adds the k-th pair's term of every diagram that has one to a prefix
-    of the sums, from contiguous rows of the kernel factors.
+    The pairs are summed a chunk at a time, one matrix product per chunk
+    of ``(w * Bx)^T @ By``, into one (nx, ny) array that is then divided by
+    ``tau**2``.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    order = np.argsort(-counts, kind="stable")
-    sizes = counts[order]
-    steps = np.arange(sizes.max(initial=0))[:, None]
-    present = steps < sizes
-    rows = ((np.cumsum(counts) - counts)[order] + steps)[present]
-    wbx = weights[rows, None] * _gaussian_rows(births[rows], spec.xs(), tau)
-    by = _gaussian_rows(deaths[rows], spec.ys(), tau)
-    lives = present.sum(axis=1).tolist()
-    starts = [0, *itertools.accumulate(lives)]  # first row of each step
-    if work is None:
-        sums = np.empty((counts.size, spec.nx, spec.ny))
-        cap = max(counts.size, _grids_per_chunk(spec))
-        term = np.empty((min(cap, rows.size), spec.nx, spec.ny))
-    else:
-        sums, term = work[0, : counts.size], work[1]
-    sums[...] = 0.0
-    cap = len(term)
-    k = 0
-    while k < len(lives):
-        # One einsum call makes the terms of the steps k..j-1 that fit in
-        # ``term``: outer products, one rounding per entry, in einsum's loop,
-        # which is faster here than a broadcast multiply.
-        j = bisect.bisect_right(starts, starts[k] + cap) - 1
-        lo, hi = starts[k], starts[j]
-        np.einsum("pi,pj->pij", wbx[lo:hi], by[lo:hi], out=term[: hi - lo])
-        for s in range(k, j):
-            live = lives[s]
-            np.add(sums[:live], term[starts[s] - lo : starts[s + 1] - lo], out=sums[:live])
-        k = j
-    sums /= tau * tau
-    return sums, np.argsort(order)
+    acc = np.zeros((spec.nx, spec.ny))
+    xs, ys = spec.xs(), spec.ys()
+    for lo in range(0, births.size, _CHUNK_PAIRS):
+        hi = lo + _CHUNK_PAIRS
+        wbx = weights[lo:hi, None] * _gaussian_rows(births[lo:hi], xs, tau)
+        acc += wbx.T @ _gaussian_rows(deaths[lo:hi], ys, tau)
+    acc /= tau * tau
+    return acc
 
 
 def mean_intensity_values(births, deaths, weights, counts, tau, spec):
     """Pointwise mean of the smoothed intensities of diagrams given as
     pooled pair arrays (see :func:`pooled_pairs`).
 
-    The diagrams are smoothed a batch per pass and their grids added in
-    diagram order, so no grid object is built per diagram; each batch is
-    checked once.
+    The smoother is linear, so the mean is the smoothing of all pooled
+    pairs divided by the number of diagrams; no grid is built per diagram.
     """
-    acc = np.zeros((spec.nx, spec.ny))
-    size = _grids_per_chunk(spec)
-    # One work array for all batches: fresh ones cost page faults per batch.
-    work = np.empty((2, size, spec.nx, spec.ny))
-    edges = np.concatenate([[0], np.cumsum(counts)])  # each diagram's first pair
-    for k in range(0, len(counts), size):
-        lo, hi = edges[k], edges[min(k + size, len(counts))]
-        pairs = births[lo:hi], deaths[lo:hi], weights[lo:hi], counts[k : k + size]
-        grids, slots = smooth_pooled(*pairs, tau, spec, work)
-        _check_values(grids)
-        for slot in slots:
-            acc += grids[slot]
-    acc /= len(counts)
-    return acc
+    vals = smoothed_sum(births, deaths, weights, tau, spec)
+    vals /= len(counts)
+    _check_values(vals)
+    return vals
 
 
 def smooth_diagram(diagram, tau, w=DEFAULT_WEIGHTS, spec=None):
@@ -220,24 +165,16 @@ def smooth_diagram(diagram, tau, w=DEFAULT_WEIGHTS, spec=None):
         raise InvalidParameterError(f"tau must be finite and > 0, got {tau}")
     if spec is None:
         spec = default_intensity_spec([diagram], tau)
-    grids, _ = smooth_pooled(*pooled_pairs([diagram], w), tau, spec)
-    return IntensityGrid(spec=spec, values=grids[0], tau=tau, weights=w)
+    values = smoothed_sum(*pooled_pairs([diagram], w)[:3], tau, spec)
+    return IntensityGrid(spec=spec, values=values, tau=tau, weights=w)
 
 
 def _values_at(births, deaths, weights, tau, points):
     """Smoothed intensity of pooled pair arrays at an (m, 2) array of points,
-    each value summed pair by pair in stored order as in :func:`smooth_pooled`."""
+    each value summed pair by pair in stored order."""
     kx = _gaussian_rows(births, points[:, 0], tau)
     ky = _gaussian_rows(deaths, points[:, 1], tau)
     return np.einsum("p,pk,pk->k", weights, kx, ky, optimize=False) / (tau * tau)
-
-
-def intensity_at(diagram, tau, points, w=DEFAULT_WEIGHTS):
-    """Evaluate the smoothed intensity at arbitrary (birth, death) points."""
-    if not 0 < tau < math.inf:
-        raise InvalidParameterError(f"tau must be finite and > 0, got {tau}")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    return _values_at(*pooled_pairs([diagram], w)[:3], tau, pts)
 
 
 def pair_sum(diagram, fn, w=DEFAULT_WEIGHTS):
@@ -259,7 +196,8 @@ def _compatible(grids):
     grids = list(grids)
     if not grids:
         raise InvalidInputError("need at least one intensity grid")
-    if not all(grids[0].compatible_with(g) for g in grids[1:]):
+    head = grids[0]
+    if any((g.spec, g.tau, g.weights) != (head.spec, head.tau, head.weights) for g in grids):
         raise IncompatibleGridsError("intensity grids differ in spec, tau, or weights")
     return grids
 

@@ -66,6 +66,13 @@ def _check_count(n):
     return n
 
 
+def _check_fraction(q):
+    q = float(q)
+    if not 0.0 <= q <= 1.0:
+        raise InvalidParameterError(f"q must be in [0, 1], got {q}")
+    return q
+
+
 def gen_noisy_circles(n, centers, radius, noise_sd, seed):
     """n points on circles around ``centers``, blurred by isotropic Gaussian noise.
 
@@ -142,18 +149,18 @@ def gen_circle_contamination(n, q, seed):
     square, with probability q uniform on the unit circle (angle uniform,
     radius exactly 1).
     """
-    n = _check_count(n)
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise InvalidParameterError(f"q must be in [0, 1], got {q}")
-    return _mixture_square_circle(n, q, -1.0, 1.0, seed)
+    return _mixture_square_circle(_check_count(n), _check_fraction(q), -1.0, 1.0, seed)
 
 
 POPULATIONS = ("circle", "three-circles", "gauss3", "uniform", "contaminated")
 
 
 def generate_population(pop, n, seed, q=0.0):
-    """Dispatch on a named population with its pinned parameters."""
+    """Dispatch on a named population with its pinned parameters.
+
+    Only ``contaminated`` uses ``q``, but every population checks it.
+    """
+    q = _check_fraction(q)
     if pop == "circle":
         return gen_noisy_circles(n, CIRCLE_CENTERS, 1.0, 0.1, seed)
     if pop == "three-circles":

@@ -41,6 +41,16 @@ def test_synth_cli(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("pop", ["circle", "uniform", "contaminated"])
+@pytest.mark.parametrize("q", ["2", "-0.5", "nan"])
+def test_synth_checks_q_for_every_population(tmp_path, capsys, pop, q):
+    out = tmp_path / "cloud.csv"
+    argv = ["synth", "--pop", pop, "--n", "5", "--q", q, "--out", str(out)]
+    assert main(argv) == 3
+    assert "q must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_global_seed_flag(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -392,7 +392,9 @@ def test_rank_and_spearman():
 
 # Frozen per-diagram versions of the studies: every diagram smoothed on its
 # own by einsum's fixed-order loop and added to a running sum in order. The
-# batched kernel must give the same floats.
+# kernel's BLAS products sum in another order, so the studies must agree
+# with these to within rounding: a relative 1e-12, thousands of float64 ulps,
+# on squared and absolute errors whose grids agree to about 1e-15.
 
 
 def _einsum_smooth(births, deaths, weights, tau, spec):
@@ -434,14 +436,15 @@ def _frozen_mise(source, n_values, tau_scale, reps, seed, n_ref, grid):
     return tuple(out)
 
 
-def test_mise_study_equals_per_diagram_loop():
+def test_mise_study_matches_per_diagram_loop():
     source = synthetic_diagram_source(8.0, birth_center=0.5, birth_sd=0.25, life_mean=0.3)
     args = dict(n_values=(3, 17, 40), tau_scale=0.12, reps=2, seed=5)
     curve = mise_study(source, **args, n_ref=90, grid=(40, 36))
-    assert curve.mise == _frozen_mise(source, **args, n_ref=90, grid=(40, 36))
+    want = _frozen_mise(source, **args, n_ref=90, grid=(40, 36))
+    assert curve.mise == pytest.approx(want, rel=1e-12)
 
 
-def test_bias_scaling_equals_pooled_einsum():
+def test_bias_scaling_matches_pooled_einsum():
     source = synthetic_diagram_source(mean_pairs=8.0, birth_sd=0.35, life_mean=0.45)
     taus, tau_ref, num = (0.04, 0.08, 0.16), 0.15, 60
     study = bias_scaling_study(source, taus, tau_ref, num, seed=3, grid=(96, 80))
@@ -458,7 +461,7 @@ def test_bias_scaling_equals_pooled_einsum():
     for tau in taus:
         vals = _einsum_smooth(births, deaths, weights, math.hypot(tau_ref, tau), spec)
         want.append(float(np.abs(vals - ref).sum() * spec.cell_area))
-    assert study.deviations == tuple(want)
+    assert study.deviations == pytest.approx(want, rel=1e-12)
 
 
 def _frozen_synthetic_draw(seed, mean_pairs, birth_center, birth_sd, life_mean, dim=0):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import persint
 from persint.errors import (
     CsvFormatError,
     IncompatibleGridsError,
@@ -16,16 +21,14 @@ from persint.intensity import (
     DEFAULT_WEIGHTS,
     IntensityGrid,
     WeightSpec,
-    _grids_per_chunk,
+    _CHUNK_PAIRS,
     average_intensity,
     default_intensity_spec,
-    intensity_at,
     mean_intensity_values,
     pair_sum,
     pooled_pairs,
     read_intensity,
     smooth_diagram,
-    smooth_pooled,
     write_intensity,
 )
 from persint.persistence import PersistenceDiagram
@@ -148,18 +151,6 @@ def test_tau_must_be_finite(tau):
         IntensityGrid(spec=spec, values=np.zeros((4, 4)), tau=tau)
     with pytest.raises(InvalidParameterError, match="tau must be finite"):
         smooth_diagram(diag, tau, spec=spec)
-    with pytest.raises(InvalidParameterError, match="tau must be finite"):
-        intensity_at(diag, tau, [(0.1, 0.3)])
-
-
-def test_intensity_at_matches_grid_nodes():
-    tau = 0.07
-    diag = _diag([(0, 0.2, 0.6), (1, 0.1, 0.9)])
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 6, 6)
-    grid = smooth_diagram(diag, tau, spec=spec)
-    pts = [(spec.xs()[i], spec.ys()[j]) for i in range(6) for j in range(6)]
-    vals = intensity_at(diag, tau, pts)
-    assert np.allclose(vals, grid.values.ravel(), rtol=1e-12)
 
 
 _unit = st.floats(0.0, 1.0)
@@ -172,14 +163,12 @@ _unit = st.floats(0.0, 1.0)
     g=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
     shape=st.tuples(st.integers(2, 12), st.integers(2, 12)),
 )
-def test_intensity_at_nodes_equals_smoothed_grid_bit_for_bit(rows, tau, g, shape):
+def test_smoothed_grid_matches_einsum_reference(rows, tau, g, shape):
     diag = _diag([(d, min(a, b), max(a, b)) for d, a, b in rows])
     w = WeightSpec(*g)
     spec = GridSpec(-0.3, 1.2, -0.1, 1.4, *shape)
     grid = smooth_diagram(diag, tau, w=w, spec=spec)
-    nodes = np.stack(np.meshgrid(spec.xs(), spec.ys(), indexing="ij"), axis=-1)
-    vals = intensity_at(diag, tau, nodes, w=w)
-    assert vals.tobytes() == grid.values.ravel().tobytes()
+    _assert_close(grid.values, _einsum_reference(diag, tau, spec, w))
 
 
 def test_pair_sum():
@@ -276,8 +265,7 @@ def test_default_intensity_spec_requires_pairs():
 
 
 def _einsum_reference(diagram, tau, spec, w=DEFAULT_WEIGHTS):
-    """One diagram smoothed by einsum's fixed-order loop: the values the
-    batched kernel must reproduce bit for bit."""
+    """One diagram smoothed by einsum's fixed-order loop over its pairs."""
     if not diagram.pairs:
         return np.zeros((spec.nx, spec.ny))
     _, births, deaths = diagram.arrays()
@@ -286,6 +274,15 @@ def _einsum_reference(diagram, tau, spec, w=DEFAULT_WEIGHTS):
     bx = np.exp(-0.5 * ((births[:, None] - spec.xs()[None, :]) / tau) ** 2) / root
     by = np.exp(-0.5 * ((deaths[:, None] - spec.ys()[None, :]) / tau) ** 2) / root
     return np.einsum("p,pi,pj->ij", wts, bx, by, optimize=False) / (tau * tau)
+
+
+def _assert_close(got, want):
+    """The kernel's BLAS products sum the pairs in another order than the
+    reference, so values agree to rounding: within 1e-13 of the grid's
+    maximum (hundreds of float64 ulps), or of the smallest normal float
+    where every value is below it."""
+    bound = 1e-13 * want.max(initial=0.0) + np.finfo(np.float64).tiny
+    assert np.abs(got - want).max(initial=0.0) <= bound
 
 
 def _random_diagrams(seed, count, max_pairs=12):
@@ -301,20 +298,22 @@ def _random_diagrams(seed, count, max_pairs=12):
 
 
 def _assert_kernel_exact(diagrams, tau, spec, w=DEFAULT_WEIGHTS):
-    grids, slots = smooth_pooled(*pooled_pairs(diagrams, w), tau, spec)
-    grids = grids[slots]
-    assert len(grids) == len(diagrams)
-    for diag, got in zip(diagrams, grids):
-        want = _einsum_reference(diag, tau, spec, w)
-        assert got.tobytes() == want.tobytes()
-        assert smooth_diagram(diag, tau, w=w, spec=spec).values.tobytes() == want.tobytes()
-    # The mean adds the grids in diagram order, as a loop over grids would.
+    """Each grid is the same bytes however it is batched: smoothed alone, or
+    averaged alone from its slice of the pooled pairs of all the diagrams.
+    The grids and their mean match the einsum reference to rounding."""
+    births, deaths, weights, counts = pooled_pairs(diagrams, w)
+    edges = np.concatenate([[0], np.cumsum(counts)])
     acc = np.zeros((spec.nx, spec.ny))
-    for diag in diagrams:
-        acc += _einsum_reference(diag, tau, spec, w)
+    for k, diag in enumerate(diagrams):
+        grid = smooth_diagram(diag, tau, w=w, spec=spec).values
+        part = slice(edges[k], edges[k + 1])
+        alone = births[part], deaths[part], weights[part], counts[k : k + 1]
+        assert mean_intensity_values(*alone, tau, spec).tobytes() == grid.tobytes()
+        want = _einsum_reference(diag, tau, spec, w)
+        _assert_close(grid, want)
+        acc += want
     acc /= len(diagrams)
-    mean = mean_intensity_values(*pooled_pairs(diagrams, w), tau, spec)
-    assert mean.tobytes() == acc.tobytes()
+    _assert_close(mean_intensity_values(births, deaths, weights, counts, tau, spec), acc)
 
 
 def test_kernel_bit_exact_on_edge_diagrams():
@@ -328,6 +327,7 @@ def test_kernel_bit_exact_on_edge_diagrams():
         _diag([]),
     ]
     _assert_kernel_exact(diagrams, 0.09, spec)
+    _assert_kernel_exact([_diag([])], 0.09, spec)
 
 
 def test_kernel_bit_exact_with_mixed_dims_and_weights():
@@ -339,11 +339,15 @@ def test_kernel_bit_exact_with_mixed_dims_and_weights():
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_kernel_bit_exact_across_chunk_boundaries(offset):
+    # Pair counts of chunk-1, chunk, chunk+1 and their doubles, in one diagram
+    # and pooled from many diagrams.
     spec = GridSpec(-0.5, 2.0, -0.5, 2.5, 64, 64)
-    chunk = _grids_per_chunk(spec)
-    assert chunk > 1
-    for count in (chunk + offset, 2 * chunk + offset):
-        _assert_kernel_exact(_random_diagrams(10 + count, count), 0.06, spec)
+    for count in (_CHUNK_PAIRS + offset, 2 * _CHUNK_PAIRS + offset):
+        rows = [p for d in _random_diagrams(count, count) for p in d.pairs][:count]
+        assert len(rows) == count
+        _assert_kernel_exact([_diag(rows)], 0.06, spec)
+        many = [_diag(rows[k : k + 7]) for k in range(0, count, 7)]
+        _assert_kernel_exact(many, 0.06, spec)
 
 
 def test_kernel_bit_exact_on_128_grids():
@@ -351,6 +355,35 @@ def test_kernel_bit_exact_on_128_grids():
     diagrams = _random_diagrams(5, 7, max_pairs=30)
     diagrams.append(_diag([(d % 2, 0.01 * d, 0.5 + 0.02 * d) for d in range(40)]))
     _assert_kernel_exact(diagrams, 0.1, spec)
+
+
+_GRID_DIGEST = """
+import hashlib
+import numpy as np
+from persint.field import GridSpec
+from persint.intensity import smoothed_sum
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for n in (64, 128):
+    spec = GridSpec(-0.5, 2.0, -0.5, 2.5, n, n)
+    for count in (1, 255, 256, 257, 400, 700, 1025):
+        births = rng.uniform(0.0, 1.0, count)
+        deaths = births + rng.exponential(0.3, count)
+        digest.update(smoothed_sum(births, deaths, deaths - births, 0.06, spec).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_grids_do_not_depend_on_the_blas_thread_count():
+    def digest(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(persint.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", _GRID_DIGEST], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    assert digest("1") == digest("2")
 
 
 def test_pooled_weights_match_per_pair_weights():
