@@ -46,7 +46,16 @@ from .intensity import (
     smoothed_sum,
 )
 from .persistence import PersistenceDiagram, compute_persistence
-from .seeding import box_muller, child_seed, make_rng, pick_indices, poisson
+from .seeding import (
+    box_muller,
+    check_seeds,
+    child_seed,
+    child_seeds,
+    make_rng,
+    pick_indices,
+    poisson,
+    reseeded,
+)
 from .synth import generate_population
 
 
@@ -197,8 +206,11 @@ def permutation_test(group1, group2, B, seed):
 
 
 # ---------------------------------------------------------------------------
-# Diagram sources: seeded callables seed -> PersistenceDiagram, used by the
-# rate studies. Child-seed paths are documented at each call site.
+# Diagram sources, used by the rate studies. A source called with one
+# integer seed returns that seed's PersistenceDiagram; called with a 1-D
+# array of seeds, it returns the pooled pairs (see pooled_pairs) of those
+# seeds' diagrams in order, equal to pooled_pairs([source(s) for s in seeds]).
+# The studies draw in batches. Child-seed paths are documented at each call site.
 
 _POPULATION_BOX = {
     "circle": (-1.3, 1.3, -1.3, 1.3),
@@ -220,6 +232,8 @@ def field_diagram_source(population="uniform", n=60, h=0.25, q=0.0, grid=(64, 64
     spec = GridSpec(box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad, *grid)
 
     def draw(seed):
+        if np.ndim(seed) != 0:
+            return pooled_pairs([draw(s) for s in check_seeds(seed).tolist()])
         cloud = generate_population(population, n, seed, q=q)
         return compute_persistence(kde_grid(cloud, h, spec), "superlevel", 0)
 
@@ -230,20 +244,32 @@ def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, lif
     """Direct diagram process of dim-0 pairs: Poisson pair count, Gaussian
     births, exponential lifetimes. Cheap enough for many-replicate studies."""
 
+    def pooled(seeds):
+        # All the seeds' pairs as one diagram, each seed's pairs sorted, and
+        # each seed's pair count. A seed's stream is default_rng(seed)'s.
+        births, deaths, counts = [], [], []
+        for rng in reseeded(seeds):
+            # Three uniforms per pair: a Box-Muller pair (first normal only),
+            # then an exponential lifetime by inversion.
+            count = poisson(rng, mean_pairs)
+            u = rng.random(3 * count).tolist()
+            points = []
+            for k in range(0, 3 * count, 3):
+                birth = birth_center + birth_sd * box_muller(u[k], u[k + 1])[0]
+                life = -life_mean * math.log(1.0 - u[k + 2])
+                points.append((birth, birth + life))
+            points.sort()
+            births += [b for b, _ in points]
+            deaths += [d for _, d in points]
+            counts.append(count)
+        dims = np.zeros(len(births), np.int64)
+        return PersistenceDiagram(dims, births, deaths, direction="superlevel"), counts
+
     def draw(seed):
-        # Three uniforms per pair: a Box-Muller pair (first normal only),
-        # then an exponential lifetime by inversion.
-        rng = make_rng(seed)
-        count = poisson(rng, mean_pairs)
-        u = rng.random(3 * count).tolist()
-        points = []
-        for k in range(0, 3 * count, 3):
-            birth = birth_center + birth_sd * box_muller(u[k], u[k + 1])[0]
-            life = -life_mean * math.log(1.0 - u[k + 2])
-            points.append((birth, birth + life))
-        points.sort()
-        births, deaths = np.array(points).reshape(count, 2).T
-        return PersistenceDiagram(np.zeros(count, np.int64), births, deaths, direction="superlevel")
+        if np.ndim(seed) == 0:
+            return pooled([seed])[0]
+        diagram, counts = pooled(seed)
+        return (*pooled_pairs([diagram])[:3], np.array(counts, dtype=np.int64))
 
     return draw
 
@@ -325,12 +351,6 @@ def loglog_slope(xs, ys):
     return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
 
 
-def _draw(source, seed, path, count):
-    """Pooled pairs (see :func:`pooled_pairs`) of the diagrams
-    ``source(child_seed(seed, *path, i))``, i < count."""
-    return pooled_pairs([source(child_seed(seed, *path, i)) for i in range(count)])
-
-
 def mise_study(source, n_values, tau_scale, reps, seed, n_ref=None, tau_ref=None, grid=(64, 64)):
     """Integrated squared error of the N-averaged intensity vs a reference.
 
@@ -362,14 +382,15 @@ def mise_study(source, n_values, tau_scale, reps, seed, n_ref=None, tau_ref=None
 
     # Reference seeds: child_seed(seed, 0, i); sweep: child_seed(seed, 1, N_index, rep, i).
     # The grid covers the reference pairs plus _PAD_TAUS times the largest sweep tau.
-    pairs = _draw(source, seed, (0,), n_ref)
+    pairs = source(child_seeds(seed, (0,), n_ref))
     spec = box_spec(pairs[0], pairs[1], _PAD_TAUS * max(taus), *grid)
     ref = mean_intensity_values(*pairs, tau_ref, spec)
     mise = []
     for ni, (n, tau) in enumerate(zip(n_values, taus)):
         ise = 0.0  # integrated squared error, summed over the repetitions
         for rep in range(reps):
-            err = mean_intensity_values(*_draw(source, seed, (1, ni, rep), n), tau, spec) - ref
+            sample = source(child_seeds(seed, (1, ni, rep), n))
+            err = mean_intensity_values(*sample, tau, spec) - ref
             ise += float((err**2).sum() * spec.cell_area)
         mise.append(ise / reps)
     slope = loglog_slope(n_values, mise) if len(n_values) >= 2 else None
@@ -412,7 +433,7 @@ def normality_check(source, N, tau, node, reps, seed):
     for r in range(reps):
         # replicate seeds: child_seed(seed, r, i). The intensity is linear in the
         # pairs, so the mean of N intensities is that of their pooled pairs over N.
-        vals[r] = _values_at(*_draw(source, seed, (r,), N)[:3], tau, pt)[0] / N
+        vals[r] = _values_at(*source(child_seeds(seed, (r,), N))[:3], tau, pt)[0] / N
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1))
     if sd <= 1e-9 * abs(mean):
@@ -441,7 +462,7 @@ def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256
         raise InvalidParameterError(f"taus must be positive and distinct, got {taus}")
     if not tau_ref > 0:
         raise InvalidParameterError(f"tau_ref must be > 0, got {tau_ref}")
-    births, deaths, weights, _ = _draw(source, seed, (), num_diagrams)
+    births, deaths, weights, _ = source(child_seeds(seed, (), num_diagrams))
     weights /= num_diagrams
     if births.size == 0:
         raise InvalidInputError("diagram process produced no pairs")

@@ -31,6 +31,7 @@ from persint.intensity import (
     IntensityGrid,
     average_intensity,
     default_intensity_spec,
+    pooled_pairs,
     smooth_diagram,
 )
 from persint.analyze import l1_distance
@@ -38,6 +39,7 @@ from persint.persistence import PersistenceDiagram, PersistencePair
 from persint.seeding import (
     box_muller,
     child_seed,
+    child_seeds,
     make_rng,
     pick_index,
     pick_indices,
@@ -335,8 +337,12 @@ def test_normality_ks_shrinks_with_averaging():
 
 def test_normality_degenerate_source():
     fixed = PersistenceDiagram.from_pairs([(0, 0.4, 0.8)])
+
+    def source(seed):  # the same diagram for every seed, one or a batch
+        return fixed if np.ndim(seed) == 0 else pooled_pairs([fixed] * len(seed))
+
     with pytest.raises(DegenerateStatisticError):
-        normality_check(lambda seed: fixed, N=3, tau=0.1, node=(0.4, 0.8), reps=100, seed=1)
+        normality_check(source, N=3, tau=0.1, node=(0.4, 0.8), reps=100, seed=1)
 
 
 def test_bias_scaling_smoke():
@@ -354,6 +360,56 @@ def test_bias_scaling_validation():
         bias_scaling_study(source, taus=(0.02, 0.04), tau_ref=0.0, num_diagrams=5, seed=0)
     with pytest.raises(InvalidParameterError):
         bias_scaling_study(source, taus=(0.02, 0.02), tau_ref=0.1, num_diagrams=5, seed=0)
+
+
+def _array_bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+BATCH_SOURCES = {
+    "synthetic": synthetic_diagram_source(8.0, birth_center=0.5, birth_sd=0.25, life_mean=0.3),
+    # About three diagrams in four have no pairs.
+    "synthetic-sparse": synthetic_diagram_source(mean_pairs=0.3),
+    "field": field_diagram_source(population="uniform", n=30, h=0.25, grid=(24, 24)),
+}
+
+
+@pytest.mark.parametrize("count", [0, 1, 9])
+@pytest.mark.parametrize("kind", sorted(BATCH_SOURCES))
+def test_batch_form_is_the_pooled_one_seed_form(kind, count):
+    source = BATCH_SOURCES[kind]
+    seeds = child_seeds(23, (4,), count)
+    got = source(seeds)
+    assert _array_bytes(got) == _array_bytes(pooled_pairs([source(int(s)) for s in seeds]))
+    assert _array_bytes(source(seeds.tolist())) == _array_bytes(got)
+    if kind == "synthetic-sparse" and count == 9:
+        assert 0 in got[3].tolist()
+
+
+def test_batch_form_of_a_long_synthetic_batch():
+    source = BATCH_SOURCES["synthetic"]
+    seeds = child_seeds(5, (1, 3, 0), 300)
+    want = pooled_pairs([source(int(s)) for s in seeds])
+    assert _array_bytes(source(seeds)) == _array_bytes(want)
+
+
+def test_a_bad_synthetic_pair_fails_alike_in_a_batch():
+    source = synthetic_diagram_source(mean_pairs=4.0, life_mean=-0.1)
+    seeds = child_seeds(2, (), 3)
+    with pytest.raises(InvalidInputError) as one:
+        source(int(seeds[0]))
+    with pytest.raises(InvalidInputError) as batch:
+        source(seeds)
+    assert str(batch.value) == str(one.value)
+    assert "below the diagonal" in str(one.value)
+
+
+def test_sources_reject_a_bad_seed():
+    for source in (BATCH_SOURCES["synthetic"], BATCH_SOURCES["field"]):
+        with pytest.raises(InvalidParameterError, match="got 1.5"):
+            source(1.5)
+        with pytest.raises(InvalidParameterError, match="got -1"):
+            source([3, -1])
 
 
 def test_field_diagram_source_deterministic():
