@@ -145,14 +145,11 @@ def similarity_from_distance(d, scale):
     return np.exp(-d.entries / scale)
 
 
-def spectral_embed(s, k, rescale_degree=False, row_normalize=False, skip_trivial=False):
+def spectral_embed(s, k):
     """Eigenvectors of the k smallest eigenvalues of the normalized Laplacian.
 
     Forms L_sym = I - D^-1/2 S D^-1/2 and embeds items by its bottom-k
-    eigenvectors (including the trivial constant one unless
-    ``skip_trivial``). ``rescale_degree`` applies the D^-1/2 row rescaling;
-    ``row_normalize`` scales each embedded row to unit norm. Both default
-    off.
+    eigenvectors, the trivial constant one included.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -166,18 +163,10 @@ def spectral_embed(s, k, rescale_degree=False, row_normalize=False, skip_trivial
         raise DegenerateGraphError("similarity graph has a zero-degree node")
     dinv = 1.0 / np.sqrt(deg)
     n = len(s)
-    take = k + 1 if skip_trivial else k
-    if not 1 <= take <= n:
+    if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     _, evecs = np.linalg.eigh(np.eye(n) - dinv[:, None] * s * dinv[None, :])
-    coords = evecs[:, (1 if skip_trivial else 0) : take].copy()
-    if rescale_degree:
-        coords *= dinv[:, None]
-    if row_normalize:
-        norms = np.linalg.norm(coords, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        coords = coords / norms
-    return Embedding(coords=_fix_signs(coords), method="spectral")
+    return Embedding(coords=_fix_signs(evecs[:, :k].copy()), method="spectral")
 
 
 _RESTARTS, _MAX_ITER = 10, 300  # k-means starts, and Lloyd steps per start at most

@@ -112,9 +112,6 @@ def _build_parser():
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--kmeans", type=int, default=None, metavar="K")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--skip-trivial", action="store_true", help="drop the constant eigenvector")
-    p.add_argument("--dhalf-rescale", action="store_true", help="rescale rows by D^-1/2")
-    p.add_argument("--row-normalize", action="store_true", help="normalize embedded rows")
     p.add_argument("--out", required=True)
 
     infer = sub.add_parser("infer", help="permutation two-sample test")
@@ -208,13 +205,7 @@ def _cmd_analyze(args):
         return 0
     d = DistanceMatrix(entries=read_matrix(args.infile))
     s = similarity_from_distance(d, args.scale)
-    emb = spectral_embed(
-        s,
-        args.k,
-        rescale_degree=args.dhalf_rescale,
-        row_normalize=args.row_normalize,
-        skip_trivial=args.skip_trivial,
-    )
+    emb = spectral_embed(s, args.k)
     labels = None
     if args.kmeans is not None:
         labels = kmeans(emb, args.kmeans, _effective_seed(args)).labels.tolist()

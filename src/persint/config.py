@@ -1,20 +1,21 @@
 """Experiment configuration: a JSON schema with up-front validation.
 
 A config file is a flat JSON object. ``experiment`` selects the recipe
-(fig2, fig4, or mise); the remaining keys parameterize the stages. Each
-key is declared once, as an ``ExperimentConfig`` field that carries its
-default, its rule and the experiments that check it (``_GENERATOR_RULES``
-holds the rules of the keys of ``generator``); all are checked before
-anything runs, and all violations are reported together with their field
-paths. A missing master seed defaults to 0; per-stage seeds are always
-derived from the master via the documented child-seed rule."""
+(fig2, fig4 or mise, or "custom" for hand-driven stage runs); the
+remaining keys parameterize it. Each key is declared once, as an
+``ExperimentConfig`` field that carries its default, its rule and the
+experiments whose recipe reads it (``_GENERATOR_RULES`` holds the rules of
+the keys of ``generator``). A key that the config's experiment does not
+read is a violation. All keys are checked before anything runs, and all
+violations are reported together with their field paths. A missing master
+seed defaults to 0; per-stage seeds are always derived from the master via
+the documented child-seed rule."""
 
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
-from .field import _write_json
 from .synth import POPULATIONS
 
 DEFAULT_GENERATOR = {
@@ -78,15 +79,17 @@ _GENERATOR = (
     lambda v: isinstance(v, dict) and v.get("kind") in _KINDS,
 )
 
+# Experiments whose recipe reads a key. "custom" configs describe hand-driven
+# stage runs and take the keys of fig2's stages.
 _STAGES = ("fig2", "fig4", "custom")
+_FIG2 = ("fig2", "custom")
 
 
 def _key(experiments, rule, default=None, each=False, required=False):
-    """A config key checked by ``experiments``, with its rule and whether that
+    """A config key read by ``experiments``, with its rule and whether that
     applies to each element of a nonempty list. An absent key takes its valid
     default; so does None where the default is None, unless the key is
-    ``required``. "custom" configs describe hand-driven stage runs and
-    require nothing."""
+    ``required``. "custom" configs require nothing."""
     meta = {"experiments": experiments, "rule": rule, "each": each, "required": required}
     if isinstance(default, (list, dict)):
         return field(default_factory=lambda: type(default)(default), metadata=meta)
@@ -101,7 +104,7 @@ class ExperimentConfig:
     threads: int = _key(EXPERIMENTS, _ONE_THREAD, 1)  # kept so existing configs validate
     out_dir: str | None = _key(EXPERIMENTS, ("must be a string", lambda v: isinstance(v, str)))
     save_intermediates: bool = _key(
-        EXPERIMENTS, ("must be true or false", lambda v: isinstance(v, bool)), True
+        _FIG2, ("must be true or false", lambda v: isinstance(v, bool)), True
     )
     # pipeline stages (fig2 and fig4)
     n: int | None = _key(_STAGES, _at_least(1), required=True)
@@ -110,10 +113,10 @@ class ExperimentConfig:
     tau: float | None = _key(_STAGES, _POSITIVE, required=True)
     field_grid: list = _key(_STAGES, _GRID, [128, 128])
     intensity_grid: list = _key(_STAGES, _GRID, [128, 128])
-    field_bounds: list | None = _key(_STAGES, _BOUNDS)
-    max_dim: int = _key(_STAGES, ("must be 0 or 1", lambda v: _number(v) and v in (0, 1)), 1)
-    g0: float = _key(_STAGES, _NONNEGATIVE, 1.0)
-    g1: float = _key(_STAGES, _NONNEGATIVE, 1.0)
+    field_bounds: list | None = _key(_FIG2, _BOUNDS)
+    max_dim: int = _key(_FIG2, ("must be 0 or 1", lambda v: _number(v) and v in (0, 1)), 1)
+    g0: float = _key(_FIG2, _NONNEGATIVE, 1.0)
+    g1: float = _key(_FIG2, _NONNEGATIVE, 1.0)
     # fig4 sweep
     q_values: list | None = _key(("fig4",), _UNIT, each=True, required=True)
     B: int | None = _key(("fig4",), _at_least(1), required=True)
@@ -138,15 +141,13 @@ class ExperimentConfig:
     def to_dict(self):
         return asdict(self)
 
-    def save(self, path):
-        _write_json(path, self.to_dict())
 
-
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-
-
-def _unknown(keys, prefix=""):
-    return [f"{prefix}{key}: unknown configuration key" for key in sorted(keys)]
+# The fields each experiment reads, in report order, and their names.
+_READ = {
+    exp: [f for f in fields(ExperimentConfig)[1:] if exp in f.metadata["experiments"]]
+    for exp in EXPERIMENTS
+}
+_READ_NAMES = {exp: {"experiment", *(f.name for f in keys)} for exp, keys in _READ.items()}
 
 
 def _largest_n(raw):
@@ -159,11 +160,12 @@ def validate_config_dict(raw):
     """All constraint violations of a raw config mapping, with field paths."""
     if not isinstance(raw, dict):
         return ["config root must be a JSON object"]
-    errors = _unknown(set(raw) - _FIELD_NAMES)
     exp = raw.get("experiment")
     if exp not in EXPERIMENTS:
-        return errors + [f"experiment: must be one of {EXPERIMENTS}, got {exp!r}"]
-    keys = [f for f in fields(ExperimentConfig) if exp in f.metadata.get("experiments", ())]
+        return [f"experiment: must be one of {EXPERIMENTS}, got {exp!r}"]
+    errors = [f"{key}: not read by experiment {exp!r}"
+              for key in sorted(set(raw) - _READ_NAMES[exp])]
+    keys = _READ[exp]
     missing = [f.name for f in keys if f.metadata["required"] and raw.get(f.name) is None]
     errors += [f"{key}: required for experiment {exp!r}" for key in missing if exp != "custom"]
 
@@ -186,7 +188,8 @@ def validate_config_dict(raw):
             errors.append(f"N_ref: must exceed the largest N in N_values, got {value!r}")
         elif key == "generator":
             kind_rules = _GENERATOR_RULES[value["kind"]]
-            errors += _unknown(set(value) - set(kind_rules) - {"kind"}, "generator.")
+            errors += [f"generator.{k}: unknown configuration key"
+                       for k in sorted(set(value) - set(kind_rules) - {"kind"})]
             for k, (m, ok) in kind_rules.items():
                 if k in value and not ok(value[k]):
                     errors.append(f"generator.{k}: {m}, got {value[k]!r}")

@@ -108,7 +108,7 @@ def box_spec(xs, ys, pad, nx, ny):
     )
 
 
-def default_kde_spec(cloud, h, nx=128, ny=128):
+def default_kde_spec(cloud, h, nx, ny):
     """Grid covering the cloud's bounding box expanded by 4h per side."""
     return box_spec(cloud.x, cloud.y, 4.0 * h, nx, ny)
 

@@ -284,7 +284,8 @@ def power_trial(q, n, N, h, tau, B, trial_seed, field_grid, intensity_nx, intens
     contaminated mixture (the uniform square ignores q). Their boxes are equal,
     so both groups share one KDE grid."""
     sources = [field_diagram_source(p, n, h, q, field_grid) for p in ("uniform", "contaminated")]
-    groups = [[s(child_seed(trial_seed, g, i)) for i in range(N)] for g, s in enumerate(sources)]
+    groups = [[s(c) for c in child_seeds(trial_seed, (g,), N).tolist()]
+              for g, s in enumerate(sources)]
     ispec = default_intensity_spec(groups[0] + groups[1], tau, intensity_nx, intensity_ny)
     grids1, grids2 = ([smooth_diagram(d, tau, spec=ispec) for d in group] for group in groups)
     return permutation_test(grids1, grids2, B, child_seed(trial_seed, 2))

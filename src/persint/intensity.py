@@ -110,7 +110,7 @@ class IntensityGrid:
 _PAD_TAUS = 4.0
 
 
-def default_intensity_spec(diagrams, tau, nx=128, ny=128, pad_factor=_PAD_TAUS):
+def default_intensity_spec(diagrams, tau, nx, ny, pad_factor=_PAD_TAUS):
     """Grid covering the bounding box of all pairs, expanded by pad_factor*tau."""
     births, deaths, _, _ = pooled_pairs(diagrams)
     return box_spec(births, deaths, pad_factor * tau, nx, ny)
@@ -155,16 +155,13 @@ def mean_intensity_values(births, deaths, weights, counts, tau, spec):
     return vals
 
 
-def smooth_diagram(diagram, tau, w=DEFAULT_WEIGHTS, spec=None):
-    """Smoothed weighted intensity of one diagram on the given grid.
+def smooth_diagram(diagram, tau, spec, w=DEFAULT_WEIGHTS):
+    """Smoothed weighted intensity of one diagram on the grid ``spec``.
 
-    An empty diagram yields the zero grid. If ``spec`` is omitted it is
-    derived from the diagram via :func:`default_intensity_spec`.
+    An empty diagram yields the zero grid.
     """
     if not 0 < tau < math.inf:
         raise InvalidParameterError(f"tau must be finite and > 0, got {tau}")
-    if spec is None:
-        spec = default_intensity_spec([diagram], tau)
     values = smoothed_sum(*pooled_pairs([diagram], w)[:3], tau, spec)
     return IntensityGrid(spec=spec, values=values, tau=tau, weights=w)
 

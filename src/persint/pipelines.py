@@ -64,9 +64,6 @@ class RunManifest:
         seconds = time.perf_counter() - start
         self.stages.append({"name": name, "outputs": list(map(str, outputs)), "seconds": seconds})
 
-    def output_files(self):
-        return [p for s in self.stages for p in s["outputs"]]
-
     def save(self, path):
         _write_json(path, asdict(self))
 

@@ -191,18 +191,6 @@ def test_spectral_embed_checks_list_and_array_alike():
             spectral_embed(matrix, 1)
 
 
-def test_spectral_toggles():
-    s = np.exp(-np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0))))
-    base = spectral_embed(s, 2)
-    skip = spectral_embed(s, 2, skip_trivial=True)
-    assert base.coords.shape == skip.coords.shape == (5, 2)
-    assert not np.allclose(base.coords, skip.coords)
-    rescaled = spectral_embed(s, 2, rescale_degree=True)
-    rows = spectral_embed(s, 2, row_normalize=True)
-    assert np.allclose(np.linalg.norm(rows.coords, axis=1), 1.0)
-    assert not np.allclose(base.coords, rescaled.coords)
-
-
 def test_kmeans_k_equals_n():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     out = kmeans(Embedding(coords=pts, method="mds"), 3, seed=0)

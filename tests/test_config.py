@@ -79,30 +79,29 @@ def test_mise_reference_constraint():
 
 
 def test_file_round_trip(tmp_path):
-    cfg = config_from_dict(dict(FIG4_PAPER, out_dir="results"))
+    raw = dict(FIG4_PAPER, out_dir="results")
+    cfg = config_from_dict(raw)
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(raw))
     back = load_config(path)
     assert back == cfg
-    # a second save emits identical bytes
-    path2 = tmp_path / "cfg2.json"
-    back.save(path2)
-    assert path.read_bytes() == path2.read_bytes()
+    # the snapshot of a loaded config is the same JSON
+    assert json.dumps(back.to_dict()) == json.dumps(cfg.to_dict())
 
 
 def test_a_utf8_config_loads_under_an_ascii_locale(tmp_path):
     """Config files are read and written as UTF-8 whatever the locale's encoding."""
     cfg = config_from_dict(dict(FIG4_PAPER, out_dir="r\u00e9sum\u00e9"))
     src = tmp_path / "cfg.json"
-    src.write_text(json.dumps(cfg.to_dict(), ensure_ascii=False), encoding="utf-8")
-    script = "import sys, persint.config as c; c.load_config(sys.argv[1]).save(sys.argv[2])"
+    src.write_text(json.dumps(dict(FIG4_PAPER, out_dir=cfg.out_dir), ensure_ascii=False),
+                   encoding="utf-8")
+    script = "import json, sys, persint.config as c; print(json.dumps(c.load_config(sys.argv[1]).to_dict()))"
     env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C.ISO-8859-1",
                PYTHONPATH=str(Path(persint.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", script, src, tmp_path / "back.json"], env=env,
+    run = subprocess.run([sys.executable, "-c", script, src], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    cfg.save(tmp_path / "here.json")
-    assert (tmp_path / "back.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+    assert json.loads(run.stdout) == cfg.to_dict()
 
 
 def test_load_errors(tmp_path):
@@ -143,14 +142,11 @@ PINNED_VIOLATIONS = [
     ([1, 2], ["config root must be a JSON object"]),
     (
         dict(FIG2, zz=1, aa=2),
-        ["aa: unknown configuration key", "zz: unknown configuration key"],
+        ["aa: not read by experiment 'fig2'", "zz: not read by experiment 'fig2'"],
     ),
     (
         {"experiment": "fig3", "bogus": 1},
-        [
-            "bogus: unknown configuration key",
-            "experiment: must be one of ('fig2', 'fig4', 'mise', 'custom'), got 'fig3'",
-        ],
+        ["experiment: must be one of ('fig2', 'fig4', 'mise', 'custom'), got 'fig3'"],
     ),
     (
         {"experiment": "fig4", "n": None},
@@ -247,10 +243,19 @@ PINNED_VIOLATIONS = [
         dict(MISE, generator={"kind": "field", "h": None}),
         ["generator.h: must be a float > 0, got None"],
     ),
-    # Keys of other experiments are not checked.
-    (dict(MISE, h=-1, q_values="x", g0=-1), []),
-    (dict(FIG2, q_values="x", N_values=0, generator=None), []),
-    (dict(FIG2, experiment="custom", n=0, B=0), ["n: must be an integer >= 1, got 0"]),
+    # Keys of other experiments are rejected, whatever their values.
+    (
+        dict(MISE, h=-1, q_values="x", g0=-1),
+        [f"{k}: not read by experiment 'mise'" for k in ("g0", "h", "q_values")],
+    ),
+    (
+        dict(FIG2, q_values="x", N_values=0, generator=None),
+        [f"{k}: not read by experiment 'fig2'" for k in ("N_values", "generator", "q_values")],
+    ),
+    (
+        dict(FIG2, experiment="custom", n=0, B=0),
+        ["B: not read by experiment 'custom'", "n: must be an integer >= 1, got 0"],
+    ),
     # Every violation at once keeps the report order.
     (
         dict(
@@ -259,7 +264,8 @@ PINNED_VIOLATIONS = [
             B=0, trials=0, alphas=[5], zz=0,
         ),
         [
-            "zz: unknown configuration key",
+            *[f"{k}: not read by experiment 'fig4'"
+              for k in ("field_bounds", "g0", "g1", "max_dim", "zz")],
             "seed: must be a 64-bit unsigned integer, got -1",
             "threads: must be 1 (trials run in one thread), got 0",
             "n: must be an integer >= 1, got 0",
@@ -268,10 +274,6 @@ PINNED_VIOLATIONS = [
             "tau: must be a float > 0, got 0",
             f"field_grid: {GRID_MSG}, got 0",
             f"intensity_grid: {GRID_MSG}, got 0",
-            "field_bounds: must be [x_lo, x_hi, y_lo, y_hi] with lo < hi, got 0",
-            "max_dim: must be 0 or 1, got 5",
-            "g0: must be a number >= 0, got -1",
-            "g1: must be a number >= 0, got -1",
             "q_values[0]: must lie in [0, 1], got 5",
             "B: must be an integer >= 1, got 0",
             "trials: must be an integer >= 1, got 0",
@@ -292,6 +294,21 @@ PINNED_VIOLATIONS = [
             "generator.n: must be an integer >= 1, got 0",
         ],
     ),
+    # Per experiment, valid values of keys its recipe does not read.
+    (dict(FIG2, B=200, alphas=[0.05]), [f"{k}: not read by experiment 'fig2'" for k in ("B", "alphas")]),
+    (
+        dict(FIG4_PAPER, field_bounds=[0, 1, 0, 1], max_dim=1, g0=1.0, g1=1.0,
+             save_intermediates=True),
+        [
+            f"{k}: not read by experiment 'fig4'"
+            for k in ("field_bounds", "g0", "g1", "max_dim", "save_intermediates")
+        ],
+    ),
+    (
+        dict(MISE, n=10, field_grid=[8, 8], save_intermediates=False),
+        [f"{k}: not read by experiment 'mise'" for k in ("field_grid", "n", "save_intermediates")],
+    ),
+    ({"experiment": "custom", "N_values": [4]}, ["N_values: not read by experiment 'custom'"]),
 ]
 
 
@@ -421,14 +438,21 @@ def test_readme_documents_every_config_key():
 
     from dataclasses import fields
 
-    from persint.config import _FIELD_NAMES, _GENERATOR_RULES, DEFAULT_GENERATOR, ExperimentConfig
+    from persint.config import _GENERATOR_RULES, DEFAULT_GENERATOR, EXPERIMENTS, ExperimentConfig
     from persint.inference import field_diagram_source, synthetic_diagram_source
 
     schema = _readme().split("### Config schema", 1)[1]
     keys_table, generator_table = re.findall(r"(?:^\|.*\n)+", schema, flags=re.M)[:2]
     keys = [k for row in _table_rows(keys_table) for k in re.findall(r"`([^`]+)`", row[0])]
-    assert sorted(keys) == sorted(_FIELD_NAMES) and len(keys) == len(set(keys))
-    assert all("rule" in f.metadata for f in fields(ExperimentConfig)[1:])  # every key has its rule
+    declared = fields(ExperimentConfig)
+    assert sorted(keys) == sorted(f.name for f in declared) and len(keys) == len(set(keys))
+    assert all("rule" in f.metadata for f in declared[1:])  # every key has its rule
+    # The experiments column lists the experiments whose recipe reads each key.
+    readers = {f.name: f.metadata.get("experiments", EXPERIMENTS) for f in declared}
+    for row in _table_rows(keys_table):
+        listed = EXPERIMENTS if row[1] == "all" else tuple(row[1].split(", "))
+        for key in re.findall(r"`([^`]+)`", row[0]):
+            assert sorted(listed) == sorted(readers[key]), key
 
     # Generator keys per kind, with the source function's default.
     sources = {"field": field_diagram_source, "synthetic": synthetic_diagram_source}
@@ -448,3 +472,18 @@ def test_readme_fig4_example_validates():
     raw = json.loads(block)
     assert raw["experiment"] == "fig4"
     assert validate_config_dict(raw) == []
+
+
+def test_every_benchmark_workload_config_validates(monkeypatch):
+    """bench/workloads.py's configs, full size and smoke size, pass the config rules."""
+    import importlib.util
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # import bench/ read-only
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        for smoke in (False, True):
+            raw = workload(1, smoke=smoke).config
+            assert validate_config_dict(raw) == [], (name, smoke)

@@ -140,7 +140,7 @@ def test_average_intensity_errors():
 
 def test_smooth_rejects_bad_tau():
     with pytest.raises(InvalidParameterError):
-        smooth_diagram(_diag([(0, 0.1, 0.3)]), 0.0)
+        smooth_diagram(_diag([(0, 0.1, 0.3)]), 0.0, spec=GridSpec(0, 1, 0, 1, 4, 4))
 
 
 @pytest.mark.parametrize("tau", [math.inf, math.nan])
@@ -261,7 +261,7 @@ def test_intensity_csv_rejects_nonfinite_and_negative_values(tmp_path, bad):
 
 def test_default_intensity_spec_requires_pairs():
     with pytest.raises(InvalidInputError):
-        default_intensity_spec([_diag([])], 0.1)
+        default_intensity_spec([_diag([])], 0.1, 8, 8)
 
 
 def _einsum_reference(diagram, tau, spec, w=DEFAULT_WEIGHTS):

@@ -31,8 +31,9 @@ def test_fig2_outputs_exist(tmp_path):
     assert (out / "coords.csv").exists()
     assert (out / "delta.csv").exists()
     assert (out / "manifest.json").exists()
-    for rel in manifest.output_files():
-        assert (out / rel).exists()
+    for stage in manifest.stages:
+        for rel in stage["outputs"]:
+            assert (out / rel).exists()
     lines = (out / "coords.csv").read_text().splitlines()
     assert lines[0] == "id,c1,c2,label"
     assert len(lines) == 1 + 3 * 2  # three populations, N clouds each
