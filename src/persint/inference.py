@@ -8,10 +8,13 @@ normality) re-run the full pipeline under controlled seeds and summarize
 the outcome.
 
 Permutation protocol: the pooled grids are put into a canonical order
-(sorted by their value bytes) and each permutation assigns the first
-min(n1, n2) slots to one group. With the statistic symmetric in its
-arguments, the reported p-value is therefore invariant to swapping the two
-input groups under the same seed.
+(sorted by their values as numbers, first cell first) and each permutation
+assigns the first min(n1, n2) slots to one group. With the statistic
+symmetric in its arguments, the reported p-value is therefore invariant to
+swapping the two input groups under the same seed. The order follows the
+values, not their rounding: a change in the last bits of the grids
+reorders the pool only where two grids are that close in every cell
+before the first one in which they differ.
 
 The observed and permuted statistics come from one kernel that sums each
 group's grids in this canonical order, so the statistic is a function of
@@ -132,7 +135,11 @@ def _canonical_rows(group1, group2):
     if not group1 or not group2:
         raise InvalidInputError("both groups must be nonempty")
     pooled = _compatible(group1 + group2)
-    order = sorted(range(len(pooled)), key=lambda k: pooled[k].values.tobytes())
+    # Big-endian bytes of nonnegative doubles sort as the numbers do; + 0.0
+    # turns -0.0 into 0.0. The keys are freed before the stack is built.
+    order = sorted(
+        range(len(pooled)), key=lambda k: (pooled[k].values + 0.0).astype(">f8").tobytes()
+    )
     stack = np.stack([pooled[k].values.ravel() for k in order])
     rows = np.empty(len(pooled), dtype=np.int64)
     rows[order] = np.arange(len(pooled))

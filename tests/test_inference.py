@@ -85,11 +85,11 @@ def _problems(count, seed, sizes=(2, 7)):
 
 
 def _canonical(grids):
-    return sorted(grids, key=lambda g: g.values.tobytes())
+    return sorted(grids, key=lambda g: g.values.ravel().tolist())
 
 
 def test_statistic_compositional_oracle():
-    # The statistic averages each group in canonical (value-byte) order.
+    # The statistic averages each group in canonical (value) order.
     for g1, g2, _ in _problems(40, seed=3):
         direct = two_sample_statistic(g1, g2)
         composed = l1_distance(average_intensity(_canonical(g1)), average_intensity(_canonical(g2)))
@@ -117,6 +117,18 @@ def test_statistic_and_test_ignore_order_within_groups():
         for h1, h2 in relisted:
             assert two_sample_statistic(h1, h2) == want.statistic
             assert permutation_test(h1, h2, B=20, seed=7) == want
+
+
+def test_p_value_ignores_a_one_ulp_nudge_of_every_grid():
+    # Nudging every value one step up keeps the grids' numeric order, so the
+    # seeded relabelling deals the same partitions and only ulps move.
+    for t, (g1, g2, _) in enumerate(_problems(200, seed=8, sizes=(5, 5))):
+        nudged = [
+            [IntensityGrid(spec=g.spec, values=np.nextafter(g.values, np.inf), tau=0.1) for g in grp]
+            for grp in (g1, g2)
+        ]
+        want = permutation_test(g1, g2, B=20, seed=t).p_value
+        assert permutation_test(*nudged, B=20, seed=t).p_value == want, t
 
 
 def _frozen_fisher_yates(rng, idx):
