@@ -106,7 +106,7 @@ class ExperimentConfig:
     save_intermediates: bool = _key(
         _FIG2, ("must be true or false", lambda v: isinstance(v, bool)), True
     )
-    # pipeline stages (fig2 and fig4)
+    # pipeline stages: fig2 reads them all, fig4 those up to intensity_grid
     n: int | None = _key(_STAGES, _at_least(1), required=True)
     N: int | None = _key(_STAGES, _at_least(1), required=True)
     h: float | None = _key(_STAGES, _POSITIVE, required=True)

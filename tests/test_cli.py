@@ -374,10 +374,8 @@ def test_threads_is_no_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--skip-trivial", "--dhalf-rescale", "--row-normalize"])
 def test_spectral_embedding_has_no_variant_flags(tmp_path, capsys, flag):
-    delta = tmp_path / "delta.csv"
-    delta.write_text("0.0,1.0\n1.0,0.0\n")
     out = tmp_path / "labels.csv"
-    argv = ["analyze", "spectral", "--in", str(delta), "--scale", "1", "--k", "1"]
+    argv = ["analyze", "spectral", "--in", str(tmp_path / "delta.csv"), "--scale", "1", "--k", "1"]
     assert main([*argv, flag, "--out", str(out)]) == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()

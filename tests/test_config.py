@@ -90,12 +90,15 @@ def test_file_round_trip(tmp_path):
 
 
 def test_a_utf8_config_loads_under_an_ascii_locale(tmp_path):
-    """Config files are read and written as UTF-8 whatever the locale's encoding."""
+    """Config files are read as UTF-8 whatever the locale's encoding."""
     cfg = config_from_dict(dict(FIG4_PAPER, out_dir="r\u00e9sum\u00e9"))
     src = tmp_path / "cfg.json"
     src.write_text(json.dumps(dict(FIG4_PAPER, out_dir=cfg.out_dir), ensure_ascii=False),
                    encoding="utf-8")
-    script = "import json, sys, persint.config as c; print(json.dumps(c.load_config(sys.argv[1]).to_dict()))"
+    script = (
+        "import json, sys, persint.config as c; "
+        "print(json.dumps(c.load_config(sys.argv[1]).to_dict()))"
+    )
     env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C.ISO-8859-1",
                PYTHONPATH=str(Path(persint.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", script, src], env=env,
@@ -295,7 +298,10 @@ PINNED_VIOLATIONS = [
         ],
     ),
     # Per experiment, valid values of keys its recipe does not read.
-    (dict(FIG2, B=200, alphas=[0.05]), [f"{k}: not read by experiment 'fig2'" for k in ("B", "alphas")]),
+    (
+        dict(FIG2, B=200, alphas=[0.05]),
+        [f"{k}: not read by experiment 'fig2'" for k in ("B", "alphas")],
+    ),
     (
         dict(FIG4_PAPER, field_bounds=[0, 1, 0, 1], max_dim=1, g0=1.0, g1=1.0,
              save_intermediates=True),

@@ -119,14 +119,15 @@ def test_statistic_and_test_ignore_order_within_groups():
             assert permutation_test(h1, h2, B=20, seed=7) == want
 
 
+def _nudged(grid):
+    return IntensityGrid(spec=grid.spec, values=np.nextafter(grid.values, np.inf), tau=grid.tau)
+
+
 def test_p_value_ignores_a_one_ulp_nudge_of_every_grid():
     # Nudging every value one step up keeps the grids' numeric order, so the
     # seeded relabelling deals the same partitions and only ulps move.
     for t, (g1, g2, _) in enumerate(_problems(200, seed=8, sizes=(5, 5))):
-        nudged = [
-            [IntensityGrid(spec=g.spec, values=np.nextafter(g.values, np.inf), tau=0.1) for g in grp]
-            for grp in (g1, g2)
-        ]
+        nudged = [[_nudged(g) for g in grp] for grp in (g1, g2)]
         want = permutation_test(g1, g2, B=20, seed=t).p_value
         assert permutation_test(*nudged, B=20, seed=t).p_value == want, t
 
