@@ -14,7 +14,7 @@ from .errors import (
 )
 from .field import _open_csv, _read_float_rows, _write_csv
 from .intensity import _compatible
-from .seeding import make_rng, pick_index
+from .seeding import make_rng, scaled_index
 
 _DISTANCE_ROWS = "distance matrix rows must be finite, >= 0, equal their columns, 0 on the diagonal"
 
@@ -212,10 +212,8 @@ def kmeans(embedding, k, seed):
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = make_rng(seed)
     best = None
-    for _ in range(_RESTARTS):
-        first = pick_index(rng, n)
+    for first in scaled_index(make_rng(seed).random(_RESTARTS), n).tolist():
         centers = _greedy_centers(x, k, first)
         labels, centers, inertia = _lloyd(x, centers)
         if best is None or inertia < best[2]:

@@ -16,6 +16,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
+from .inference import MAX_MEAN_PAIRS
 from .synth import POPULATIONS
 
 DEFAULT_GENERATOR = {
@@ -67,7 +68,8 @@ _GENERATOR_RULES = {
         "q": _UNIT,
     },
     "synthetic": {
-        "mean_pairs": _POSITIVE,
+        "mean_pairs": (f"must be a float in (0, {MAX_MEAN_PAIRS}]",
+                       lambda v: _number(v) and 0 < v <= MAX_MEAN_PAIRS),
         "birth_center": ("must be a number", _number),
         "birth_sd": _NONNEGATIVE,
         "life_mean": _POSITIVE,
@@ -139,7 +141,8 @@ class ExperimentConfig:
         return f"master seed {int(self.seed)} from config"
 
     def to_dict(self):
-        return asdict(self)
+        """The keys the experiment reads: a config that validates and rebuilds this one."""
+        return {k: v for k, v in asdict(self).items() if k in _READ_NAMES[self.experiment]}
 
 
 # The fields each experiment reads, in report order, and their names.

@@ -55,9 +55,8 @@ from .seeding import (
     child_seed,
     child_seeds,
     make_rng,
-    pick_indices,
-    poisson,
     reseeded,
+    scaled_index,
 )
 from .synth import generate_population
 
@@ -169,13 +168,6 @@ def two_sample_statistic(group1, group2):
     return _mean_gap(*_canonical_rows(group1, group2))
 
 
-def _fisher_yates(rng, idx):
-    # Slot i swaps with one of slots 0..i, for i from the last slot down to 1.
-    swaps = pick_indices(rng, range(len(idx), 1, -1)).tolist()
-    for i, j in zip(range(len(idx) - 1, 0, -1), swaps):
-        idx[i], idx[j] = idx[j], idx[i]
-
-
 def permutation_test(group1, group2, B, seed):
     """Two-sample permutation test of the L1 statistic.
 
@@ -193,10 +185,14 @@ def permutation_test(group1, group2, B, seed):
 
     rng = make_rng(seed)
     idx = list(range(len(stack)))
+    # Fisher-Yates: slot i swaps with one of slots 0..i, for i from the last slot down to 1.
+    slots = np.arange(len(idx), 1, -1)
     null_stats = []
     seen = {}  # the statistic of each partition drawn so far, keyed by its first slots
     for _ in range(B):
-        _fisher_yates(rng, idx)
+        swaps = scaled_index(rng.random(slots.size), slots).tolist()
+        for i, j in zip(range(len(idx) - 1, 0, -1), swaps):
+            idx[i], idx[j] = idx[j], idx[i]
         key = tuple(sorted(idx[:n_small]))
         if key not in seen:
             seen[key] = _mean_gap(stack, key, idx[n_small:], area)
@@ -226,6 +222,9 @@ _POPULATION_BOX = {
     "uniform": (-1.0, 1.0, -1.0, 1.0),
     "contaminated": (-1.0, 1.0, -1.0, 1.0),
 }
+# Knuth's count ends once its product falls below exp(-mean_pairs): a normal double
+# up to this mean, and 0.0 from about 746.
+MAX_MEAN_PAIRS = 700
 
 
 def field_diagram_source(population="uniform", n=60, h=0.25, q=0.0, grid=(64, 64)):
@@ -248,20 +247,31 @@ def field_diagram_source(population="uniform", n=60, h=0.25, q=0.0, grid=(64, 64
 
 
 def synthetic_diagram_source(mean_pairs=8.0, birth_center=0.4, birth_sd=0.1, life_mean=0.15):
-    """Direct diagram process of dim-0 pairs: Poisson pair count, Gaussian
-    births, exponential lifetimes. Cheap enough for many-replicate studies."""
+    """Direct diagram process of dim-0 pairs: Poisson pair count (mean at most
+    MAX_MEAN_PAIRS), Gaussian births, exponential lifetimes. Cheap enough for
+    many-replicate studies."""
+    if not 0 < mean_pairs <= MAX_MEAN_PAIRS:
+        raise InvalidParameterError(f"need 0 < mean_pairs <= {MAX_MEAN_PAIRS}, got {mean_pairs}")
+    limit = math.exp(-mean_pairs)
+    size = 4 * math.ceil(mean_pairs) + 1
 
     def pooled(seeds):
         # All the seeds' pairs as one diagram, each seed's pairs sorted, and
         # each seed's pair count. A seed's stream is default_rng(seed)'s.
         births, deaths, counts = [], [], []
         for rng in reseeded(seeds):
-            # Three uniforms per pair: a Box-Muller pair (first normal only),
-            # then an exponential lifetime by inversion.
-            count = poisson(rng, mean_pairs)
-            u = rng.random(3 * count).tolist()
+            # Knuth's count (a running product of uniforms), then three uniforms per
+            # pair: a Box-Muller pair (first normal only) and an exponential lifetime
+            # by inversion. The block doubles when shorter than 4 * count + 1.
+            u = rng.random(size).tolist()
+            count, p = 0, u[0]
+            while p >= limit:
+                count += 1
+                if len(u) < 4 * count + 1:
+                    u += rng.random(len(u)).tolist()
+                p *= u[count]
             points = []
-            for k in range(0, 3 * count, 3):
+            for k in range(count + 1, 4 * count + 1, 3):
                 birth = birth_center + birth_sd * box_muller(u[k], u[k + 1])[0]
                 life = -life_mean * math.log(1.0 - u[k + 2])
                 points.append((birth, birth + life))

@@ -1,11 +1,11 @@
 """Deterministic random number infrastructure.
 
-Every stochastic operation in the package draws from a PCG64 bit generator
-seeded explicitly by the caller, and consumes *only* uniform doubles from
-``Generator.random()``. Derived variates are built from those uniforms with
-pinned transforms (Box-Muller for Gaussians, ``floor(u * k)`` for discrete
-choices, inversion for exponentials/Poisson), so streams are bit-stable
-across platforms and numpy versions.
+Draw protocol: every stochastic operation reads a PCG64 generator seeded by
+its caller only by ``rng.random(k)`` calls in a pinned order, and maps the
+uniforms through pinned transforms: :func:`box_muller`, :func:`scaled_index`,
+inversion for exponentials and Knuth's product for Poisson counts. Each stream
+has a generator of its own, so an unread tail of a block changes nothing.
+Streams are bit-stable across platforms and numpy versions.
 
 Independent streams are derived from a master seed with
 ``child_seed(master, *path)``: the child is the first 64-bit word of
@@ -164,31 +164,6 @@ def box_muller(u1, u2):
     return r * math.cos(TWO_PI * u2), r * math.sin(TWO_PI * u2)
 
 
-def scaled_index(u, count):
-    """Index in [0, count) of one uniform in [0, 1): ``floor(u * count)``, capped."""
-    k = int(u * count)
-    return count - 1 if k >= count else k
-
-
-def pick_index(rng, count):
-    """Uniform index in [0, count) from a single uniform draw."""
-    return scaled_index(rng.random(), count)
-
-
-def pick_indices(rng, counts):
-    """:func:`pick_index` for each count in turn, from one ``rng.random`` call."""
-    counts = np.asarray(counts, dtype=np.int64)
-    k = (rng.random(counts.size) * counts).astype(np.int64)
-    return np.minimum(k, counts - 1)
-
-
-def poisson(rng, lam):
-    """Poisson count by Knuth's product-of-uniforms inversion."""
-    limit = math.exp(-lam)
-    k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p < limit:
-            return k
-        k += 1
+def scaled_index(u, counts):
+    """Elementwise index in [0, counts) of uniforms in [0, 1): ``floor(u * counts)``, capped."""
+    return np.minimum((u * counts).astype(np.int64), counts - 1)

@@ -16,9 +16,8 @@ Per-point variate order:
 
 Each cloud takes all its uniforms from one ``rng.random`` call, as many as
 its points could need (3 per point for the square and circle mixture, which
-uses 2 for a circle point), and reads them in the order above. The
-generator belongs to that cloud alone, so the unused tail changes nothing:
-the values equal those of one ``rng.random()`` call per variate.
+uses 2 for a circle point), and reads them in the order above, as the
+``seeding`` draw protocol describes.
 """
 
 import math
@@ -88,10 +87,11 @@ def gen_noisy_circles(n, centers, radius, noise_sd, seed):
         raise InvalidParameterError(f"radius must be > 0, got {radius}")
     if noise_sd < 0:
         raise InvalidParameterError(f"noise_sd must be >= 0, got {noise_sd}")
-    u = make_rng(seed).random(4 * n).tolist()
+    u = make_rng(seed).random((n, 4))
+    picks = scaled_index(u[:, 0], len(centers)).tolist()
     pts = []
-    for pick, angle, u1, u2 in zip(u[0::4], u[1::4], u[2::4], u[3::4]):
-        cx, cy = centers[scaled_index(pick, len(centers))]
+    for pick, (_, angle, u1, u2) in zip(picks, u.tolist()):
+        cx, cy = centers[pick]
         theta = TWO_PI * angle
         gx, gy = box_muller(u1, u2)
         pts += (cx + radius * math.cos(theta) + noise_sd * gx,
@@ -107,10 +107,11 @@ def gen_gaussian_mixture(n, centers, sd, seed):
         raise InvalidParameterError("centers must be nonempty")
     if not sd > 0:
         raise InvalidParameterError(f"sd must be > 0, got {sd}")
-    u = make_rng(seed).random(3 * n).tolist()
+    u = make_rng(seed).random((n, 3))
+    picks = scaled_index(u[:, 0], len(centers)).tolist()
     pts = []
-    for pick, u1, u2 in zip(u[0::3], u[1::3], u[2::3]):
-        cx, cy = centers[scaled_index(pick, len(centers))]
+    for pick, (_, u1, u2) in zip(picks, u.tolist()):
+        cx, cy = centers[pick]
         gx, gy = box_muller(u1, u2)
         pts += (cx + sd * gx, cy + sd * gy)
     return PointCloud(pts)

@@ -466,6 +466,11 @@ def test_validate_cli(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "tau" in err
+    # A mean pair count whose exp(-mean) is 0.0 fails validation, before any draw.
+    endless = {"experiment": "mise", "N_values": [2], "tau_scale": 0.1, "reps": 1,
+               "generator": {"kind": "synthetic", "mean_pairs": 1000}}
+    assert main(["validate", str(_write_config(tmp_path, endless, name="endless.json"))]) == 2
+    assert "generator.mean_pairs: must be a float in (0, 700]" in capsys.readouterr().err
 
 
 def test_run_fig2_cli_and_exit_codes(tmp_path):

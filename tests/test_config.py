@@ -368,11 +368,16 @@ NEW_REJECTIONS = [
         [
             "generator.grid: unknown configuration key",
             "generator.mean_pair: unknown configuration key",
-            "generator.mean_pairs: must be a float > 0, got 0",
+            "generator.mean_pairs: must be a float in (0, 700], got 0",
             "generator.birth_center: must be a number, got 'x'",
             "generator.birth_sd: must be a number >= 0, got -0.1",
             "generator.life_mean: must be a float > 0, got 0",
         ],
+    ),
+    # exp(-1000) is 0.0: Knuth's pair count would never end.
+    (
+        _generator(kind="synthetic", mean_pairs=1000),
+        ["generator.mean_pairs: must be a float in (0, 700], got 1000"],
     ),
 ]
 
@@ -422,7 +427,8 @@ def test_generator_keys_of_each_kind_validate():
                  "grid": [8, 8]}
     synthetic = {"kind": "synthetic", "mean_pairs": 3, "birth_center": -1, "birth_sd": 0,
                  "life_mean": 0.2}
-    for gen in (field_gen, synthetic, {"kind": "field"}, {"kind": "synthetic"}):
+    largest = {"kind": "synthetic", "mean_pairs": 700}
+    for gen in (field_gen, synthetic, largest, {"kind": "field"}, {"kind": "synthetic"}):
         assert validate_config_dict(_generator(**gen)) == []
     assert validate_config_dict(dict(FIG2, save_intermediates=False, out_dir="out", seed=0)) == []
 

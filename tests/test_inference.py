@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persint.errors import (
     DegenerateStatisticError,
@@ -12,7 +14,7 @@ from persint.errors import (
 )
 from persint.field import GridSpec
 from persint.inference import (
-    _fisher_yates,
+    MAX_MEAN_PAIRS,
     bias_scaling_study,
     field_diagram_source,
     ks_distance_to_normal,
@@ -34,16 +36,14 @@ from persint.intensity import (
     pooled_pairs,
     smooth_diagram,
 )
-from persint.analyze import l1_distance
+from persint.analyze import _RESTARTS, _greedy_centers, _lloyd, kmeans, l1_distance
 from persint.persistence import PersistenceDiagram, PersistencePair
 from persint.seeding import (
     box_muller,
     child_seed,
     child_seeds,
     make_rng,
-    pick_index,
-    pick_indices,
-    poisson,
+    scaled_index,
 )
 
 SPEC = GridSpec(0, 1, 0, 1, 8, 8)
@@ -132,10 +132,35 @@ def test_p_value_ignores_a_one_ulp_nudge_of_every_grid():
         assert permutation_test(*nudged, B=20, seed=t).p_value == want, t
 
 
+# Frozen scalar references of the seeded draws: one rng.random() per variate.
+def _frozen_index(rng, count):
+    return min(int(rng.random() * count), count - 1)
+
+
 def _frozen_fisher_yates(rng, idx):
     for i in range(len(idx) - 1, 0, -1):
-        j = pick_index(rng, i + 1)
+        j = _frozen_index(rng, i + 1)
         idx[i], idx[j] = idx[j], idx[i]
+
+
+def _frozen_poisson(rng, lam):
+    # Knuth's count: the factors of a running product of uniforms before it
+    # falls below exp(-lam).
+    limit, k, p = math.exp(-lam), 0, 1.0
+    while True:
+        p *= rng.random()
+        if p < limit:
+            return k
+        k += 1
+
+
+def _frozen_kmeans(x, k, seed):
+    rng, best = make_rng(seed), None
+    for _ in range(_RESTARTS):
+        labels, centers, inertia = _lloyd(x, _greedy_centers(x, k, _frozen_index(rng, len(x))))
+        if best is None or inertia < best[2]:
+            best = (labels, centers, inertia)
+    return best
 
 
 def test_redrawn_observed_partition_ties_observed():
@@ -179,17 +204,50 @@ def test_cached_partitions_match_the_uncached_loop():
 
 
 def test_vectorized_draws_match_scalar_loops():
+    # A Fisher-Yates pass's counts, then repeated and falling counts: one uniform each.
     for s in range(250):
         n = 1 + s % 45
-        idx, want = list(range(n)), list(range(n))
+        counts = list(range(n, 1, -1)) + [n] * n + list(range(n, 0, -1))
         rng, ref = make_rng(s), make_rng(s)
-        for _ in range(3):
-            _fisher_yates(rng, idx)
-            _frozen_fisher_yates(ref, want)
-            assert idx == want
-        counts = [n] * n + list(range(n, 0, -1))
-        assert pick_indices(rng, counts).tolist() == [pick_index(ref, c) for c in counts]
+        got = scaled_index(rng.random(len(counts)), np.array(counts))
+        assert got.tolist() == [_frozen_index(ref, c) for c in counts]
         assert rng.random() == ref.random()
+
+
+UNIFORMS = st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, exclude_max=True))
+COUNTS = st.one_of(
+    st.sampled_from([1, 2, 3, 2**31 - 1, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1]),
+    st.integers(1, 2**63 - 1),
+)
+
+
+@given(st.lists(st.tuples(UNIFORMS, COUNTS), min_size=1, max_size=20))
+@settings(max_examples=300)
+def test_scaled_index_matches_the_scalar_floor(draws):
+    u, counts = (np.array(col) for col in zip(*draws))
+    got = scaled_index(u, counts.astype(np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [min(int(v * c), c - 1) for v, c in draws]
+
+
+def test_scaled_index_of_the_largest_uniform():
+    # u = 1 - 2**-53 is the largest double below 1; u * c lies at least c * 2**-53
+    # below c, more than half a step, so it rounds below c and indexes c - 1.
+    counts = np.array([1, 2, 3, 5, 7, 2**20 + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53])
+    u = np.full(counts.size, 1.0 - 2.0**-53)
+    assert scaled_index(u, counts).tolist() == (counts - 1).tolist()
+    assert scaled_index(u, 6).tolist() == [5] * counts.size
+
+
+def test_kmeans_starts_take_one_draw_per_restart():
+    rng = np.random.default_rng(4)
+    for seed in range(20):
+        n, k = int(rng.integers(3, 40)), int(rng.integers(1, 4))
+        x = rng.normal(size=(n, 2)) + rng.integers(0, 3, size=(n, 1)) * 4.0
+        got, (labels, centers, inertia) = kmeans(x, k, seed), _frozen_kmeans(x, k, seed)
+        assert got.labels.tolist() == labels.tolist()
+        assert got.centers.tolist() == centers.tolist()
+        assert got.inertia == inertia
 
 
 def test_permutation_identical_singletons():
@@ -535,7 +593,7 @@ def test_bias_scaling_matches_pooled_einsum():
 
 def _frozen_synthetic_draw(seed, mean_pairs, birth_center, birth_sd, life_mean, dim=0):
     rng = make_rng(seed)
-    count = poisson(rng, mean_pairs)
+    count = _frozen_poisson(rng, mean_pairs)
     pairs = []
     for _ in range(count):
         g, _unused = box_muller(rng.random(), rng.random())
@@ -554,3 +612,29 @@ def test_synthetic_source_matches_scalar_draws():
         got, want = source(seed), _frozen_synthetic_draw(seed, **params)
         assert got.pairs == want.pairs
         assert [type(v) for p in got.pairs for v in (p.birth, p.death)] == [float] * (2 * len(want))
+
+
+@pytest.mark.parametrize("mean_pairs", [0.3, 300.0])
+def test_long_synthetic_diagrams_read_on_from_a_doubled_block(mean_pairs):
+    # A diagram of c pairs reads 4c + 1 uniforms; past the first block of
+    # 4 * ceil(mean_pairs) + 1, the source draws more and reads on.
+    params = dict(mean_pairs=mean_pairs, birth_center=0.4, birth_sd=0.1, life_mean=0.15)
+    source = synthetic_diagram_source(**params)
+    seeds = child_seeds(23, (), 100)
+    wants = [_frozen_synthetic_draw(s, **params) for s in seeds.tolist()]
+    assert any(4 * len(w) + 1 > 4 * math.ceil(mean_pairs) + 1 for w in wants)
+    for seed, want in zip(seeds.tolist(), wants):
+        assert source(seed).pairs == want.pairs
+    births, deaths, _, counts = source(seeds)
+    assert counts.tolist() == [len(w) for w in wants]
+    assert births.tolist() == [p.birth for w in wants for p in w.pairs]
+    assert deaths.tolist() == [p.death for w in wants for p in w.pairs]
+
+
+@pytest.mark.parametrize("mean_pairs", [0, -1.0, math.nan, MAX_MEAN_PAIRS + 0.5, 1000])
+def test_synthetic_source_rejects_a_mean_outside_its_range(mean_pairs):
+    # exp(-1000) is 0.0, which Knuth's count never falls below; the source
+    # refuses such a mean before it draws.
+    with pytest.raises(InvalidParameterError, match="need 0 < mean_pairs <= 700"):
+        synthetic_diagram_source(mean_pairs=mean_pairs)
+    synthetic_diagram_source(mean_pairs=MAX_MEAN_PAIRS)

@@ -35,14 +35,29 @@ def test_manifest_digest_ignores_stage_seconds_only(tmp_path):
         (run / "sub" / "a.csv").write_bytes(b"1,2\n")
         maps.append({"files": outputs._digests(run)})
     assert sorted(maps[0]["files"]) == ["manifest.json", "sub/a.csv"]
-    assert outputs.compare(maps[0], maps[1]) == 2
-    assert outputs.compare(maps[0], maps[2]) == "manifest.json"
+    assert outputs.compare(maps[0], maps[1]) == []
+    assert outputs.compare(maps[0], maps[2]) == [("manifest.json", "digests differ")]
 
 
-def test_compare_names_the_first_differing_file():
+def test_compare_names_every_differing_file(tmp_path, capsys):
     a = {"files": {"fig2/1/x.csv": "0", "mise/1/curve.csv": "1", "mise/1/z.csv": "2"}}
-    assert outputs.compare(a, a) == 3
-    assert outputs.compare(a, {"files": {**a["files"], "mise/1/z.csv": "3"}}) == "mise/1/z.csv"
-    fewer = {"files": {k: v for k, v in a["files"].items() if k != "mise/1/curve.csv"}}
-    assert outputs.compare(a, fewer) == "mise/1/curve.csv"
-    assert outputs.compare(fewer, a) == "mise/1/curve.csv"
+    b = {"files": {"fig2/1/x.csv": "0", "mise/1/z.csv": "3", "mise/2/new.csv": "4"}}
+    assert outputs.compare(a, a) == []
+    assert outputs.compare(a, b, names=("A", "B")) == [
+        ("mise/1/curve.csv", "missing from B"),
+        ("mise/1/z.csv", "digests differ"),
+        ("mise/2/new.csv", "missing from A"),
+    ]
+    paths = []
+    for name, digests in (("a.json", a), ("b.json", b)):
+        paths.append(str(tmp_path / name))
+        Path(paths[-1]).write_text(json.dumps(digests))
+    assert outputs.main(["compare", paths[0], paths[0]]) == 0
+    assert capsys.readouterr().out == "3 files equal\n"
+    assert outputs.main(["compare", *paths]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"mise/1/curve.csv (missing from {paths[1]})",
+        "mise/1/z.csv (digests differ)",
+        f"mise/2/new.csv (missing from {paths[0]})",
+        "3 files differ",
+    ]

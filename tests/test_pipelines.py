@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from persint.config import config_from_dict
+from persint.config import config_from_dict, validate_config_dict
 from persint.errors import ConfigError, InvalidParameterError, StageError
 from persint.pipelines import make_generator, run_fig2, run_fig4, run_mise
 
@@ -17,6 +17,14 @@ FIG2_TINY = {
     "field_grid": [32, 32],
     "intensity_grid": [32, 32],
 }
+
+
+def _assert_config_reruns(out, cfg):
+    """The manifest's config holds the keys the experiment reads, validates,
+    and rebuilds the config that ran."""
+    snapshot = json.loads((out / "manifest.json").read_text())["config"]
+    assert validate_config_dict(snapshot) == []
+    assert config_from_dict(snapshot) == cfg
 
 
 def _run_fig2(tmp_path, name, **overrides):
@@ -72,6 +80,7 @@ def test_fig2_manifest_contents(tmp_path):
     ]
     assert all(s["seconds"] >= 0 for s in data["stages"])
     assert data["config"]["n"] == 50
+    _assert_config_reruns(out, config_from_dict(FIG2_TINY))
 
 
 def test_fig2_requires_out_dir():
@@ -125,6 +134,7 @@ def test_fig4_curve(tmp_path):
     assert pv[0] == "q,trial,T1,p"
     assert len(pv) == 1 + 2 * 2
     assert "rates" in manifest.extras
+    _assert_config_reruns(out, cfg)
 
 
 def test_mise_curve_and_slope(tmp_path):
@@ -145,6 +155,7 @@ def test_mise_curve_and_slope(tmp_path):
     assert lines[0] == "N,tau,mise"
     assert len(lines) == 3
     assert isinstance(manifest.extras["loglog_slope"], float)
+    _assert_config_reruns(out, cfg)
 
 
 def test_stage_error_carries_context(tmp_path):

@@ -12,8 +12,8 @@ BLAS runs in one thread, as in ``bench/run.py``. A failed output check is
 an error (exit 1).
 
 ``compare`` prints the number of files when both maps hold the same files
-with the same digests; otherwise it names the first differing file in
-sorted order and exits 1.
+with the same digests; otherwise it names every differing file in sorted
+order, each with "missing from MAP" or "digests differ", and exits 1.
 """
 
 import argparse
@@ -74,13 +74,19 @@ def digest(tree, seeds):
     return {"tree": str(tree), "seeds": seeds, "files": files}
 
 
-def compare(a, b):
-    """Number of files if the maps are equal, else the first differing file's name."""
+def compare(a, b, names=("a", "b")):
+    """Each differing file of two maps in sorted order, with why it differs;
+    empty when the maps are equal. ``names`` name the maps in the reasons."""
     fa, fb = a["files"], b["files"]
+    out = []
     for key in sorted(fa.keys() | fb.keys()):
-        if fa.get(key) != fb.get(key):
-            return key
-    return len(fa)
+        if key not in fa:
+            out.append((key, f"missing from {names[0]}"))
+        elif key not in fb:
+            out.append((key, f"missing from {names[1]}"))
+        elif fa[key] != fb[key]:
+            out.append((key, "digests differ"))
+    return out
 
 
 def main(argv=None):
@@ -104,13 +110,13 @@ def main(argv=None):
         print(f"{len(result['files'])} files digested from {result['tree']}")
         return 0
     maps = [json.loads(Path(f).read_text(encoding="utf-8")) for f in (args.a, args.b)]
-    result = compare(*maps)
-    if isinstance(result, str):
-        missing = [f for f, m in zip((args.a, args.b), maps) if result not in m["files"]]
-        why = f"missing from {missing[0]}" if missing else "digests differ"
-        print(f"first differing file: {result} ({why})")
+    differences = compare(*maps, names=(args.a, args.b))
+    for key, why in differences:
+        print(f"{key} ({why})")
+    if differences:
+        print(f"{len(differences)} files differ")
         return 1
-    print(f"{result} files equal")
+    print(f"{len(maps[0]['files'])} files equal")
     return 0
 
 
