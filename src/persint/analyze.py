@@ -11,6 +11,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     InvariantError,
+    check_positive,
 )
 from .field import _open_csv, _read_float_rows, _write_csv
 from .intensity import _compatible
@@ -138,8 +139,7 @@ def classical_mds(d, k):
 
 def similarity_from_distance(d, scale):
     """Similarity matrix S_ij = exp(-D_ij / scale); unit diagonal."""
-    if not scale > 0:
-        raise InvalidParameterError(f"scale must be > 0, got {scale}")
+    check_positive("scale", scale)
     if not isinstance(d, DistanceMatrix):
         d = DistanceMatrix(entries=d)
     return np.exp(-d.entries / scale)

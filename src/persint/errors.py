@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positive-parameter rule."""
+
+import math
 
 
 class PersintError(Exception):
@@ -9,6 +11,12 @@ class PersintError(Exception):
 
 class InvalidParameterError(PersintError):
     """A parameter violates its documented constraint."""
+
+
+def check_positive(name, value):
+    """Raise InvalidParameterError unless ``value`` is finite and > 0 (NaN is not)."""
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
 
 
 class InvalidInputError(PersintError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, InvalidInputError, InvalidParameterError
+from .errors import CsvFormatError, InvalidInputError, InvalidParameterError, check_positive
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -110,6 +110,7 @@ def box_spec(xs, ys, pad, nx, ny):
 
 def default_kde_spec(cloud, h, nx, ny):
     """Grid covering the cloud's bounding box expanded by 4h per side."""
+    check_positive("h", h)
     return box_spec(cloud.x, cloud.y, 4.0 * h, nx, ny)
 
 
@@ -129,8 +130,7 @@ def kde_grid(cloud, h, spec):
     """
     if len(cloud) == 0:
         raise InvalidInputError("kernel density of an empty cloud is undefined")
-    if not h > 0:
-        raise InvalidParameterError(f"bandwidth h must be > 0, got {h}")
+    check_positive("h", h)
     ax = _gaussian_rows(cloud.x, spec.xs(), h)
     ay = _gaussian_rows(cloud.y, spec.ys(), h)
     # optimize=False keeps einsum on its fixed-order C loop (deterministic).

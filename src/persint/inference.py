@@ -36,6 +36,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     StageError,
+    check_positive,
 )
 from .field import GridSpec, box_spec, kde_grid
 from .intensity import (
@@ -391,8 +392,7 @@ def mise_study(source, n_values, tau_scale, reps, seed, n_ref=None, tau_ref=None
         raise InvalidParameterError(f"need reps >= 1, got {reps}")
     if not all(0 < t < math.inf for t in taus):
         raise InvalidParameterError(f"sweep taus must be finite and > 0, got {taus}")
-    if not 0 < tau_ref < math.inf:
-        raise InvalidParameterError(f"tau_ref must be finite and > 0, got {tau_ref}")
+    check_positive("tau_ref", tau_ref)
     if not max(n_values) < n_ref:
         raise InvalidParameterError(
             f"need 1 <= N < n_ref for every sweep N, got N={n_values} and n_ref={n_ref}"
@@ -476,10 +476,11 @@ def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256
     be dominated by sampling noise, which grows like 1/(tau_ref sqrt(M)).)
     """
     taus = tuple(sorted(float(t) for t in taus))
-    if any(t <= 0 for t in taus) or len(set(taus)) != len(taus):
-        raise InvalidParameterError(f"taus must be positive and distinct, got {taus}")
-    if not tau_ref > 0:
-        raise InvalidParameterError(f"tau_ref must be > 0, got {tau_ref}")
+    for tau in taus:
+        check_positive("tau", tau)
+    if len(set(taus)) != len(taus):
+        raise InvalidParameterError(f"taus must be distinct, got {taus}")
+    check_positive("tau_ref", tau_ref)
     births, deaths, weights, _ = source(child_seeds(seed, (), num_diagrams))
     weights /= num_diagrams
     if births.size == 0:

@@ -28,6 +28,7 @@ from .errors import (
     IncompatibleGridsError,
     InvalidInputError,
     InvalidParameterError,
+    check_positive,
 )
 from .field import (
     GridSpec,
@@ -97,8 +98,7 @@ class IntensityGrid:
                 f"values shape {vals.shape} does not match grid {self.spec.nx}x{self.spec.ny}"
             )
         _check_values(vals)
-        if not 0 < self.tau < math.inf:
-            raise InvalidParameterError(f"tau must be finite and > 0, got {self.tau}")
+        check_positive("tau", self.tau)
         object.__setattr__(self, "values", vals)
 
     def mass(self):
@@ -112,6 +112,7 @@ _PAD_TAUS = 4.0
 
 def default_intensity_spec(diagrams, tau, nx, ny, pad_factor=_PAD_TAUS):
     """Grid covering the bounding box of all pairs, expanded by pad_factor*tau."""
+    check_positive("tau", tau)
     births, deaths, _, _ = pooled_pairs(diagrams)
     return box_spec(births, deaths, pad_factor * tau, nx, ny)
 
@@ -160,8 +161,7 @@ def smooth_diagram(diagram, tau, spec, w=DEFAULT_WEIGHTS):
 
     An empty diagram yields the zero grid.
     """
-    if not 0 < tau < math.inf:
-        raise InvalidParameterError(f"tau must be finite and > 0, got {tau}")
+    check_positive("tau", tau)
     values = smoothed_sum(*pooled_pairs([diagram], w)[:3], tau, spec)
     return IntensityGrid(spec=spec, values=values, tau=tau, weights=w)
 

@@ -143,8 +143,9 @@ def test_similarity():
     s = similarity_from_distance(d, 200.0)
     assert s[0, 0] == 1.0 and s[1, 1] == 1.0
     assert s[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        similarity_from_distance(d, 0.0)
+    for scale in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match=f"scale must be finite and > 0, got {scale}"):
+            similarity_from_distance(d, scale)
 
 
 def test_spectral_complete_graph():

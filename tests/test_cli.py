@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -11,7 +12,7 @@ from persint.cli import _build_parser, main
 from persint.field import read_field
 from persint.intensity import read_intensity
 from persint.persistence import read_diagram
-from persint.synth import read_cloud
+from persint.synth import generate_population, read_cloud, write_cloud
 
 FIG2_TINY = {
     "experiment": "fig2",
@@ -57,6 +58,70 @@ def test_global_seed_flag(tmp_path):
     assert main(["--seed", "9", "synth", "--pop", "uniform", "--n", "10", "--out", str(a)]) == 0
     assert main(["synth", "--pop", "uniform", "--n", "10", "--seed", "9", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_no_flag_carries_over_to_the_next_call(tmp_path):
+    """One parser serves every call, and a call's flags do not outlive it."""
+    synth = ["synth", "--pop", "uniform", "--n", "10"]
+    zero, plain = tmp_path / "zero.csv", tmp_path / "plain.csv"
+    write_cloud(generate_population("uniform", 10, 0), zero)
+    runs = tmp_path / "runs"
+    for seeded in (["--seed", "9", "--out-dir", str(runs), *synth], [*synth, "--seed", "9"]):
+        assert main([*seeded, "--out", str(tmp_path / "seeded.csv")]) == 0
+        assert main([*synth, "--out", str(plain)]) == 0
+        assert plain.read_bytes() == zero.read_bytes() != (tmp_path / "seeded.csv").read_bytes()
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    argv = ["synth", "--pop", "circle", "--n", "5", "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    assert _build_parser() is _build_parser()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a second parser was built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert main(argv) == 0
+
+
+LEAVES = [
+    ("synth",),
+    ("field",),
+    ("persist",),
+    ("intensity",),
+    ("intensity-avg",),
+    ("analyze", "dist"),
+    ("analyze", "mds"),
+    ("analyze", "spectral"),
+    ("infer", "test"),
+    ("run", "fig2"),
+    ("run", "fig4"),
+    ("run", "mise"),
+    ("validate",),
+]
+
+
+def _leaves(parser, path=()):
+    """(path, parser) of every subcommand that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*path, name))
+
+
+def test_every_leaf_carries_its_handler():
+    leaves = dict(_leaves(_build_parser()))
+    assert sorted(leaves) == sorted(LEAVES)
+    assert all(callable(p.get_default("handler")) for p in leaves.values())
+    assert _build_parser().get_default("handler") is None
+
+
+@pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+def test_every_leaf_prints_its_help(capsys, path):
+    assert main([*path, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: persint {' '.join(path)} [-h]")
 
 
 def test_stage_chain(tmp_path):
@@ -272,13 +337,17 @@ def test_infer_test_cli(tmp_path):
     assert 0 < data["p"] <= 1
 
 
-def test_intensity_rejects_an_infinite_tau(tmp_path):
+def test_intensity_rejects_an_infinite_tau(tmp_path, capsys):
+    """tau is checked before a default grid is padded by it, and with --bounds."""
     diagf = tmp_path / "diag.csv"
     diagf.write_text("dim,birth,death\n0,0.2,0.6\n")
     out = tmp_path / "i.csv"
-    for bounds in ([], ["--bounds", "0", "1", "0", "1"]):
-        assert main(["intensity", "--in", str(diagf), "--tau", "inf", *bounds, "--out", str(out)]) == 3
-        assert not out.exists()
+    for tau in ("inf", "nan", "0"):
+        for bounds in ([], ["--bounds", "0", "1", "0", "1"]):
+            argv = ["intensity", "--in", str(diagf), "--tau", tau, *bounds, "--out", str(out)]
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"error: tau must be finite and > 0, got {float(tau)}\n"
+            assert not out.exists()
 
 
 def test_intensity_avg_mismatch_exit_code(tmp_path):
@@ -566,3 +635,46 @@ def test_stage_reload_equivalence(tmp_path):
     got = recoords.read_text().splitlines()[1:]
     want = [l.rsplit(",", 1)[0] for l in (out / "coords.csv").read_text().splitlines()[1:]]
     assert got == want
+
+
+_BOUNDS = [[], ["--bounds", "-2", "2", "-2", "2"]]
+
+
+@pytest.fixture
+def cloud_csv(tmp_path):
+    path = tmp_path / "cloud.csv"
+    write_cloud(generate_population("circle", 20, 0), path)
+    return path
+
+
+@pytest.mark.parametrize("bounds", _BOUNDS, ids=["derived", "given"])
+@pytest.mark.parametrize("h", ["inf", "nan", "0"])
+def test_field_rejects_a_bandwidth_that_is_not_finite_and_positive(
+    tmp_path, capsys, cloud_csv, h, bounds
+):
+    out = tmp_path / "field.csv"
+    argv = ["field", "--mode", "kde", "--h", h, "--grid", "8", "8", *bounds]
+    assert main([*argv, "--in", str(cloud_csv), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: h must be finite and > 0, got {float(h)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0"])
+def test_spectral_rejects_a_scale_that_is_not_finite_and_positive(tmp_path, capsys, scale):
+    delta = tmp_path / "delta.csv"
+    delta.write_text("0.0,1.0,2.0\n1.0,0.0,1.0\n2.0,1.0,0.0\n")
+    out = tmp_path / "labels.csv"
+    argv = ["analyze", "spectral", "--in", str(delta), "--scale", scale, "--k", "1"]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: scale must be finite and > 0, got {float(scale)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds", _BOUNDS, ids=["missing", "given"])
+def test_field_dist_rejects_a_bandwidth(tmp_path, capsys, cloud_csv, bounds):
+    """Every flag has an effect: --mode dist reads no --h, so one is an error."""
+    out = tmp_path / "field.csv"
+    argv = ["field", "--mode", "dist", "--h", "0.1", "--grid", "8", "8", *bounds]
+    assert main([*argv, "--in", str(cloud_csv), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: --h is not read by --mode dist\n"
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,17 @@ def test_kde_errors():
         kde_grid(PointCloud(np.empty((0, 2))), 0.1, spec)
     with pytest.raises(InvalidParameterError):
         kde_grid(PointCloud(np.array([[0.5, 0.5]])), 0.0, spec)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
+def test_a_bandwidth_is_finite_and_positive(h):
+    """The bandwidth is checked before any grid is derived from it or built."""
+    cloud = PointCloud(np.array([[0.5, 0.5]]))
+    message = f"h must be finite and > 0, got {h}"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        kde_grid(cloud, h, GridSpec(0, 1, 0, 1, 4, 4))
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        default_kde_spec(cloud, h, 4, 4)
 
 
 def test_default_kde_spec_pads_4h():

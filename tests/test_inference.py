@@ -431,6 +431,11 @@ def test_bias_scaling_validation():
         bias_scaling_study(source, taus=(0.02, 0.04), tau_ref=0.0, num_diagrams=5, seed=0)
     with pytest.raises(InvalidParameterError):
         bias_scaling_study(source, taus=(0.02, 0.02), tau_ref=0.1, num_diagrams=5, seed=0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match=f"tau must be finite and > 0, got {bad}"):
+            bias_scaling_study(source, taus=(0.02, bad), tau_ref=0.1, num_diagrams=5, seed=0)
+        with pytest.raises(InvalidParameterError, match=f"tau_ref must be finite and > 0, got {bad}"):
+            bias_scaling_study(source, taus=(0.02, 0.04), tau_ref=bad, num_diagrams=5, seed=0)
 
 
 def _array_bytes(arrays):

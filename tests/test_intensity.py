@@ -151,6 +151,9 @@ def test_tau_must_be_finite(tau):
         IntensityGrid(spec=spec, values=np.zeros((4, 4)), tau=tau)
     with pytest.raises(InvalidParameterError, match="tau must be finite"):
         smooth_diagram(diag, tau, spec=spec)
+    # The default grid is padded by 4 tau, so tau is checked before the grid's bounds.
+    with pytest.raises(InvalidParameterError, match=f"tau must be finite and > 0, got {tau}"):
+        default_intensity_spec([diag], tau, 4, 4)
 
 
 _unit = st.floats(0.0, 1.0)
