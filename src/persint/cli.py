@@ -7,8 +7,8 @@ CSV interchange formats, so any intermediate artifact can be re-fed to the
 next stage by hand.
 
 The parser is the only router: one parser per process, built on the first
-`main` call, and each leaf subcommand carries its handler as its `handler`
-default. Handlers look up pipeline functions by name when they run.
+`main` call; each leaf subcommand's defaults carry its handler and the global
+flags it reads. Handlers look up pipeline functions by name when they run.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 runtime stage or file error.
 """
@@ -61,19 +61,20 @@ def _build_parser():
     root.add_argument("--out-dir", default=None, help="output directory for run commands")
     sub = root.add_subparsers(required=True)
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    seed.add_argument("--seed", dest="own_seed", type=int, default=None)
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid", type=int, nargs=2, default=(128, 128), metavar=("NX", "NY"))
     grid.add_argument("--bounds", type=float, nargs=4, default=None,
                       metavar=("XLO", "XHI", "YLO", "YHI"),
                       help="grid bounds; default is the data box plus 4 bandwidths")
 
-    def leaf(subparsers, name, handler, **kw):
+    def leaf(subparsers, name, handler, reads=(), **kw):
         p = subparsers.add_parser(name, **kw)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, command=p.prog.partition(" ")[2], reads=reads)
         return p
 
-    p = leaf(sub, "synth", _cmd_synth, help="generate a synthetic point cloud", parents=[seed])
+    p = leaf(sub, "synth", _cmd_synth, reads=("--seed",),
+             help="generate a synthetic point cloud", parents=[seed])
     p.add_argument("--pop", required=True, choices=POPULATIONS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=float, default=0.0, help="contamination fraction")
@@ -113,7 +114,7 @@ def _build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--out", required=True)
-    p = leaf(asub, "spectral", _cmd_spectral, parents=[seed],
+    p = leaf(asub, "spectral", _cmd_spectral, reads=("--seed",), parents=[seed],
              help="normalized-Laplacian embedding (+ optional k-means)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--scale", type=float, required=True)
@@ -122,7 +123,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     isub = sub.add_parser("infer", help="permutation two-sample test").add_subparsers(required=True)
-    p = leaf(isub, "test", _cmd_infer, parents=[seed],
+    p = leaf(isub, "test", _cmd_infer, reads=("--seed",), parents=[seed],
              help="permutation two-sample test on intensity dirs")
     p.add_argument("--a", required=True, help="directory of intensity CSVs (group 1)")
     p.add_argument("--b", required=True, help="directory of intensity CSVs (group 2)")
@@ -132,7 +133,7 @@ def _build_parser():
     run = sub.add_parser("run", help="run a canned experiment from a config file")
     rsub = run.add_subparsers(required=True)
     for name in ("fig2", "fig4", "mise"):
-        p = leaf(rsub, name, functools.partial(_cmd_run, name))
+        p = leaf(rsub, name, functools.partial(_cmd_run, name), reads=("--seed", "--out-dir"))
         p.add_argument("--config", required=True)
 
     p = leaf(sub, "validate", _cmd_validate, help="validate a config file, reporting every violation")
@@ -141,32 +142,41 @@ def _build_parser():
     return root
 
 
+def _check_global_flags(args):
+    """A global flag the command does not read is an error, and so is a second --seed."""
+    if args.seed is not None and getattr(args, "own_seed", None) is not None:
+        raise InvalidInputError("--seed is given twice")
+    for flag, value in (("--seed", args.seed), ("--out-dir", args.out_dir)):
+        if value is not None and flag not in args.reads:
+            raise InvalidInputError(f"{flag} is not read by {args.command}")
+
+
 def _effective_seed(args):
-    return 0 if args.seed is None else args.seed
+    return args.own_seed or args.seed or 0  # _check_global_flags lets at most one be set
 
 
 def _cmd_synth(args):
     write_cloud(generate_population(args.pop, args.n, _effective_seed(args), q=args.q), args.out)
 
 
+def _grid_spec(args, default, *data):
+    """The grid of --bounds, else ``default(*data, nx, ny)``, with --grid's node counts."""
+    nx, ny = args.grid
+    return GridSpec(*args.bounds, nx, ny) if args.bounds is not None else default(*data, nx, ny)
+
+
 def _cmd_field(args):
     cloud = read_cloud(args.infile)
-    nx, ny = args.grid
     if args.mode == "dist":
         if args.h is not None:
             raise InvalidInputError("--h is not read by --mode dist")
         if args.bounds is None:
             raise InvalidInputError("--bounds is required for --mode dist")
-        fld = distance_grid(cloud, GridSpec(*args.bounds, nx, ny))
+        fld = distance_grid(cloud, _grid_spec(args, None))
     elif args.h is None:
         raise InvalidInputError("--h is required for --mode kde")
     else:
-        spec = (
-            GridSpec(*args.bounds, nx, ny)
-            if args.bounds is not None
-            else default_kde_spec(cloud, args.h, nx, ny)
-        )
-        fld = kde_grid(cloud, args.h, spec)
+        fld = kde_grid(cloud, args.h, _grid_spec(args, default_kde_spec, cloud, args.h))
     write_field(fld, args.out)
 
 
@@ -179,12 +189,7 @@ def _cmd_persist(args):
 def _cmd_intensity(args):
     diag = read_diagram(args.infile)
     w = WeightSpec(args.g0, args.g1)
-    nx, ny = args.grid
-    spec = (
-        GridSpec(*args.bounds, nx, ny)
-        if args.bounds is not None
-        else default_intensity_spec([diag], args.tau, nx, ny)
-    )
+    spec = _grid_spec(args, default_intensity_spec, [diag], args.tau)
     write_intensity(smooth_diagram(diag, args.tau, w=w, spec=spec), args.out)
 
 
@@ -204,6 +209,8 @@ def _cmd_mds(args):
 
 
 def _cmd_spectral(args):
+    if args.kmeans is None and (args.seed, args.own_seed) != (None, None):
+        raise InvalidInputError("--seed is not read by analyze spectral without --kmeans")
     d = DistanceMatrix(entries=read_matrix(args.infile))
     emb = spectral_embed(similarity_from_distance(d, args.scale), args.k)
     labels = None
@@ -250,6 +257,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_global_flags(args)
         args.handler(args)
     except ConfigError as exc:
         for e in exc.errors:

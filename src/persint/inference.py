@@ -22,8 +22,12 @@ the partition alone. Floating-point sums depend on their order:
 summed in input order, a relisted group could change T1, and a permutation
 that redraws the observed partition could fall a rounding step below it and
 not count as a tie. In canonical order both are exact, and a permutation
-test computes each partition's statistic once: a redrawn partition reuses
-the value it gave first.
+test computes each distinct partition's statistic once: the partitions are
+deduplicated 0/1 indicator rows, and the group sums are their BLAS products
+with the pool, 8 rows at a time. With the cells padded to a multiple of 8
+and no one-row product (numpy sends those to gemv), a product adds the grids
+in ascending canonical order, as a running sum does. Pools of more than 256
+grids are summed in blocks of 256, added in order: not the running sum.
 """
 
 import math
@@ -60,6 +64,10 @@ from .seeding import (
     scaled_index,
 )
 from .synth import generate_population
+
+_PARTITION_CHUNK = 8  # distinct partitions per indicator product; bounds the sums' memory
+_POOL_BLOCK = 256  # pooled grids per product; deeper pools add the blocks' sums in order
+_BLOCK_PERMUTATIONS = 4096  # permutations whose uniforms are drawn at once
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class BiasScaling:
 
 
 def _canonical_rows(group1, group2):
-    """Flattened grids in canonical order, each group's rows in input order, cell area."""
+    """Canonical-order grids as rows zero-padded to 8k columns, cell count, group 1 mask, area."""
     group1, group2 = list(group1), list(group2)
     if not group1 or not group2:
         raise InvalidInputError("both groups must be nonempty")
@@ -140,33 +148,37 @@ def _canonical_rows(group1, group2):
     order = sorted(
         range(len(pooled)), key=lambda k: (pooled[k].values + 0.0).astype(">f8").tobytes()
     )
-    stack = np.stack([pooled[k].values.ravel() for k in order])
-    rows = np.empty(len(pooled), dtype=np.int64)
-    rows[order] = np.arange(len(pooled))
-    return stack, rows[: len(group1)], rows[len(group1) :], pooled[0].spec.cell_area
+    cells = pooled[0].values.size
+    stack = np.zeros((len(pooled), -(-cells // 8) * 8))
+    np.stack([pooled[k].values.ravel() for k in order], out=stack[:, :cells])
+    return stack, cells, np.array(order) < len(group1), pooled[0].spec.cell_area
 
 
-def _row_mean(stack, rows):
-    """Mean of some rows of ``stack``, summed one row at a time in ascending row order.
-
-    These are the sums, in the same order, that ``stack[np.sort(rows)].mean(axis=0)``
-    makes of a C-contiguous stack, without copying the rows out first.
-    """
-    acc = np.zeros(stack.shape[1])  # numpy's sum starts from 0.0 too, so -0.0 sums to 0.0
-    for r in sorted(rows):
-        np.add(acc, stack[r], out=acc)
-    acc /= len(rows)
-    return acc
-
-
-def _mean_gap(stack, rows1, rows2, area):
-    """Cell area times the L1 distance of two row sets' means, each summed in row order."""
-    return float(np.abs(_row_mean(stack, rows1) - _row_mean(stack, rows2)).sum() * area)
+def _gaps(stack, cells, parts, area):
+    """Cell area times the L1 distance of the two group means of each 0/1 row of ``parts``,
+    1 marking one group's rows of ``stack`` (see the module docstring)."""
+    n = len(stack)
+    # numpy sends a one-row product to gemv, which sums in another order: no chunk has one row.
+    rows = np.vstack([parts, parts[-1:]]) if len(parts) % _PARTITION_CHUNK == 1 else parts
+    sums = np.empty((2, _PARTITION_CHUNK, stack.shape[1]))
+    gaps = np.empty(len(rows))
+    for lo in range(0, len(rows), _PARTITION_CHUNK):
+        ind = rows[lo : lo + _PARTITION_CHUNK].astype(np.float64)
+        a, b = sums[:, : len(ind)]
+        for acc, weights in ((a, ind), (b, 1.0 - ind)):
+            np.matmul(weights[:, :_POOL_BLOCK], stack[:_POOL_BLOCK], out=acc)
+            for r in range(_POOL_BLOCK, n, _POOL_BLOCK):
+                acc += weights[:, r : r + _POOL_BLOCK] @ stack[r : r + _POOL_BLOCK]
+        size = ind.sum(axis=1, keepdims=True)
+        np.subtract(np.divide(a, size, out=a), np.divide(b, n - size, out=b), out=a)
+        gaps[lo : lo + len(ind)] = np.abs(a, out=a)[:, :cells].sum(axis=1) * area
+    return gaps[: len(parts)]
 
 
 def two_sample_statistic(group1, group2):
     """L1 distance between the two groups' average intensities."""
-    return _mean_gap(*_canonical_rows(group1, group2))
+    stack, cells, in1, area = _canonical_rows(group1, group2)
+    return float(_gaps(stack, cells, in1[None], area)[0])
 
 
 def permutation_test(group1, group2, B, seed):
@@ -180,32 +192,36 @@ def permutation_test(group1, group2, B, seed):
     B = int(B)
     if B < 1:
         raise InvalidParameterError(f"need B >= 1 permutations, got {B}")
-    stack, rows1, rows2, area = _canonical_rows(group1, group2)
-    observed = _mean_gap(stack, rows1, rows2, area)
-    n_small = min(rows1.size, rows2.size)
+    stack, cells, in1, area = _canonical_rows(group1, group2)
+    n, n1 = in1.size, int(in1.sum())
+    n_small = min(n1, n - n1)
+    # Row 0 is the observed partition, row 1 + b marks permutation b's first n_small slots.
+    parts = np.vstack([in1, np.zeros((B, n), dtype=bool)])
 
     rng = make_rng(seed)
-    idx = list(range(len(stack)))
+    idx = list(range(n))
     # Fisher-Yates: slot i swaps with one of slots 0..i, for i from the last slot down to 1.
-    slots = np.arange(len(idx), 1, -1)
-    null_stats = []
-    seen = {}  # the statistic of each partition drawn so far, keyed by its first slots
-    for _ in range(B):
-        swaps = scaled_index(rng.random(slots.size), slots).tolist()
-        for i, j in zip(range(len(idx) - 1, 0, -1), swaps):
-            idx[i], idx[j] = idx[j], idx[i]
-        key = tuple(sorted(idx[:n_small]))
-        if key not in seen:
-            seen[key] = _mean_gap(stack, key, idx[n_small:], area)
-        null_stats.append(seen[key])
+    # A block of permutations reads its uniforms in one call: the stream is the same.
+    slots = np.arange(n, 1, -1)
+    for lo in range(1, B + 1, _BLOCK_PERMUTATIONS):
+        k = min(_BLOCK_PERMUTATIONS, B + 1 - lo)
+        firsts = []
+        for swaps in scaled_index(rng.random(k * slots.size).reshape(k, -1), slots).tolist():
+            for i, j in zip(range(n - 1, 0, -1), swaps):
+                idx[i], idx[j] = idx[j], idx[i]
+            firsts.append(idx[:n_small])
+        parts[np.arange(lo, lo + k)[:, None], firsts] = True
+    distinct, which = np.unique(parts, axis=0, return_inverse=True)
+    stats = _gaps(stack, cells, distinct, area)[which.ravel()]
+    observed, null_stats = float(stats[0]), stats[1:]
     return TestResult(
         statistic=observed,
-        p_value=(1 + sum(stat >= observed for stat in null_stats)) / (B + 1),
+        p_value=(1 + int((null_stats >= observed).sum())) / (B + 1),
         permutations=B,
         seed=int(seed),
-        n1=rows1.size,
-        n2=rows2.size,
-        null_stats=tuple(null_stats),
+        n1=n1,
+        n2=n - n1,
+        null_stats=tuple(null_stats.tolist()),
     )
 
 
@@ -503,27 +519,13 @@ def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256
 
 def rank_values(values):
     """Ranks with ties averaged, 1-based."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, which, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True,
+                                 return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[which]
 
 
 def spearman(xs, ys):
     """Spearman rank correlation; 0.0 when either sequence is constant."""
-    rx = rank_values(xs)
-    ry = rank_values(ys)
-    rx -= rx.mean()
-    ry -= ry.mean()
+    rx, ry = (r - r.mean() for r in (rank_values(xs), rank_values(ys)))
     denom = math.sqrt(float((rx**2).sum() * (ry**2).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float((rx * ry).sum() / denom)
+    return 0.0 if denom == 0.0 else float((rx * ry).sum() / denom)

@@ -21,6 +21,7 @@ A :class:`PersistenceDiagram` stores its pairs as three arrays, dims, births
 and deaths; :class:`PersistencePair` tuples are only a row view of them.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,19 +105,20 @@ def _elder_merge(node_key, edge_a, edge_b, edge_key):
     ``node_key`` ranks the nodes by age: of two merging components, the one
     whose root has the higher key is elder and survives. Edge keys are
     distinct, and every edge must enter after both its end nodes are born.
-    Returns two index arrays, the younger root killed by each merge and the
-    edge that killed it.
+    Returns two index arrays, the younger basin root killed by each merge
+    between basins and the edge that killed it.
 
-    Basins are contracted with numpy first. A node's first entering edge is
-    the least key among its edges, found by two scatter-mins; until that
-    edge arrives the node is alone, so when its far end is elder the edge
-    kills the node at once: the node points to the far end. Pointer jumping
-    gives each node its basin root. No global edge sort is needed: only the
-    crossing edges, whose basin roots differ, are sorted by key, and of each
-    unordered pair of basins only the first crossing edge is kept, since a
-    later edge between two basins always finds them already joined. The
-    basin roots are relabelled 0..k-1, so the Python loop runs over a few
-    dozen basin pairs on lists of a few dozen entries.
+    Basins are contracted with numpy first. A node's first entering edge,
+    the least key among its edges, is found by two scatter-mins; when its
+    far end is elder, that edge kills the node at once: the node points to
+    the far end. These tree merges are not returned: in _sublevel_pairs the
+    first edge enters at the node's own rank (in dim 0 it leads to a lower
+    neighbour; in dim 1, reversed, it holds the square's top vertex), so
+    they are pairs of zero length. Pointer jumping gives each node its basin
+    root. Only the crossing edges, whose basin roots differ, are sorted by
+    key, and of each unordered pair of basins only the first is kept, since
+    a later edge between two basins finds them already joined. The Python
+    loop then runs over a few dozen basin pairs, labelled 0..k-1.
     """
     n_nodes = node_key.size
     no_edge = np.iinfo(np.int64).max
@@ -129,12 +131,10 @@ def _elder_merge(node_key, edge_a, edge_b, edge_key):
         first_edge[end[is_first]] = is_first
     node = np.flatnonzero(first_key < no_edge)
     first = first_edge[node]
-    far = np.where(edge_a[first] == node, edge_b[first], edge_a[first])
+    far = edge_a[first] + edge_b[first] - node  # the end that is not the node
     tree = node_key[far] > node_key[node]
-    child = node[tree]
-    tree_edge = first[tree]
     root = np.arange(n_nodes)
-    root[child] = far[tree]
+    root[node[tree]] = far[tree]
     while True:
         jumped = root[root]
         if np.array_equal(jumped, root):
@@ -144,14 +144,14 @@ def _elder_merge(node_key, edge_a, edge_b, edge_key):
     root_a, root_b = root[edge_a], root[edge_b]
     cross = np.flatnonzero(root_a != root_b)
     cross = cross[np.argsort(edge_key[cross])]
-    basins, ends = np.unique(np.concatenate([root_a[cross], root_b[cross]]), return_inverse=True)
-    x_end, y_end = ends[: cross.size], ends[cross.size :]
+    is_basin = root == np.arange(n_nodes)
+    basins, label = np.flatnonzero(is_basin), np.cumsum(is_basin) - 1
+    x_end, y_end = label[root_a[cross]], label[root_b[cross]]
     pair = np.minimum(x_end, y_end) * basins.size + np.maximum(x_end, y_end)
     kept = np.sort(np.unique(pair, return_index=True)[1])
     parent = list(range(basins.size))
     key = node_key[basins].tolist()
-    younger = []
-    killer = []
+    younger, killer = [], []
     for e, x, y in zip(cross[kept].tolist(), x_end[kept].tolist(), y_end[kept].tolist()):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
@@ -164,9 +164,24 @@ def _elder_merge(node_key, edge_a, edge_b, edge_key):
         parent[y] = x
         younger.append(y)
         killer.append(e)
-    younger = np.concatenate([child, basins[np.array(younger, dtype=np.int64)]])
-    killer = np.concatenate([tree_edge, np.array(killer, dtype=np.int64)])
-    return younger, killer
+    return basins[np.array(younger, dtype=np.int64)], np.array(killer, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=8)
+def _topology(nx, ny):
+    """Read-only (edge_a, edge_b, edge index, dual_a, dual_b) of the nx x ny grid. Edges run
+    (i, j)-(i, j+1), then (i, j)-(i+1, j), row-major; dual node i*(ny-1) + j is square (i, j)."""
+    lin = np.arange(nx * ny).reshape(nx, ny)
+    dual = np.full((nx + 1, ny + 1), (nx - 1) * (ny - 1))
+    dual[1:-1, 1:-1] = np.arange((nx - 1) * (ny - 1)).reshape(nx - 1, ny - 1)
+    edge_a = np.concatenate([lin[:, :-1].ravel(), lin[:-1, :].ravel()])
+    edge_b = np.concatenate([lin[:, 1:].ravel(), lin[1:, :].ravel()])
+    dual_a = np.concatenate([dual[:-1, 1:-1].ravel(), dual[1:-1, :-1].ravel()])
+    dual_b = np.concatenate([dual[1:, 1:-1].ravel(), dual[1:-1, 1:].ravel()])
+    arrays = (edge_a, edge_b, np.arange(edge_a.size), dual_a, dual_b)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _sublevel_pairs(vals, max_dim):
@@ -191,16 +206,11 @@ def _sublevel_pairs(vals, max_dim):
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
 
-    # Horizontal edges (i, j)-(i, j+1), then vertical edges (i, j)-(i+1, j),
-    # each row-major. Edges enter by rank, ties in that index order.
-    lin = np.arange(m).reshape(nx, ny)
-    edge_a = np.concatenate([lin[:, :-1].ravel(), lin[:-1, :].ravel()])
-    edge_b = np.concatenate([lin[:, 1:].ravel(), lin[1:, :].ravel()])
+    # Edges enter by rank, ties in edge index order.
+    edge_a, edge_b, edge_index, dual_a, dual_b = _topology(nx, ny)
     edge_rank = np.maximum(rank[edge_a], rank[edge_b])
-    edge_key = edge_rank * edge_rank.size + np.arange(edge_rank.size)
+    edge_key = edge_rank * edge_rank.size + edge_index
 
-    # A vertex's first edge leads to its lowest neighbour, so the basin
-    # pairs of dim 0 have zero length and are dropped below.
     younger, killer = _elder_merge(-rank, edge_a, edge_b, edge_key)
     births = [flat[younger]]
     deaths = [sval[edge_rank[killer]]]
@@ -212,11 +222,6 @@ def _sublevel_pairs(vals, max_dim):
             np.maximum(r2[:-1, :-1], r2[:-1, 1:]), np.maximum(r2[1:, :-1], r2[1:, 1:])
         ).ravel()
         n_sq = sq_rank.size
-        # Square (i, j) is dual node i*(ny-1) + j; the padding is "outside".
-        dual = np.full((nx + 1, ny + 1), n_sq)
-        dual[1:-1, 1:-1] = np.arange(n_sq).reshape(nx - 1, ny - 1)
-        dual_a = np.concatenate([dual[:-1, 1:-1].ravel(), dual[1:-1, :-1].ravel()])
-        dual_b = np.concatenate([dual[1:, 1:-1].ravel(), dual[1:-1, 1:].ravel()])
         # Reversed filtration: a later square is elder, "outside" eldest.
         sq_key = np.append(sq_rank * n_sq + np.arange(n_sq), m * n_sq)
         younger, killer = _elder_merge(sq_key, dual_a, dual_b, -edge_key)

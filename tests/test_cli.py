@@ -65,11 +65,14 @@ def test_no_flag_carries_over_to_the_next_call(tmp_path):
     synth = ["synth", "--pop", "uniform", "--n", "10"]
     zero, plain = tmp_path / "zero.csv", tmp_path / "plain.csv"
     write_cloud(generate_population("uniform", 10, 0), zero)
-    runs = tmp_path / "runs"
-    for seeded in (["--seed", "9", "--out-dir", str(runs), *synth], [*synth, "--seed", "9"]):
+    for seeded in (["--seed", "9", *synth], [*synth, "--seed", "9"]):
         assert main([*seeded, "--out", str(tmp_path / "seeded.csv")]) == 0
         assert main([*synth, "--out", str(plain)]) == 0
         assert plain.read_bytes() == zero.read_bytes() != (tmp_path / "seeded.csv").read_bytes()
+    # A refused --out-dir leaves nothing behind for the next call either.
+    assert main(["--out-dir", str(tmp_path / "runs"), *synth, "--out", str(plain)]) == 3
+    assert main([*synth, "--out", str(plain)]) == 0
+    assert plain.read_bytes() == zero.read_bytes()
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
@@ -678,3 +681,64 @@ def test_field_dist_rejects_a_bandwidth(tmp_path, capsys, cloud_csv, bounds):
     assert main([*argv, "--in", str(cloud_csv), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: --h is not read by --mode dist\n"
     assert not out.exists()
+
+
+@pytest.fixture
+def field_csv(tmp_path, cloud_csv):
+    out = tmp_path / "field.csv"
+    assert main(["field", "--mode", "kde", "--h", "0.3", "--grid", "8", "8",
+                 "--in", str(cloud_csv), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "5"], "--seed is not read by persist"),
+        (["--out-dir", "od"], "--out-dir is not read by persist"),
+        (["--seed", "0"], "--seed is not read by persist"),
+    ],
+)
+def test_a_global_flag_the_command_does_not_read_is_an_error(
+    tmp_path, capsys, field_csv, flags, message
+):
+    """Every flag has an effect: --out-dir is read only by run, the global
+    --seed only by run, synth, analyze spectral --kmeans and infer test."""
+    out = tmp_path / "diagram.csv"
+    assert main([*flags, "persist", "--in", str(field_csv), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert not (tmp_path / "od").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, own, message",
+    [
+        (["--out-dir", "od", "--seed", "5"], ["--seed", "2"], "--seed is given twice"),
+        (["--seed", "5"], ["--seed", "2"], "--seed is given twice"),
+        (["--out-dir", "od"], [], "--out-dir is not read by synth"),
+    ],
+)
+def test_synth_refuses_an_out_dir_and_a_second_seed(tmp_path, capsys, monkeypatch, flags, own, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*flags, "synth", "--pop", "circle", "--n", "5", *own, "--out", "a.csv"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "a.csv").exists()
+    assert not (tmp_path / "od").exists()
+
+
+@pytest.mark.parametrize("where", ["global", "own"])
+def test_spectral_reads_a_seed_only_with_kmeans(tmp_path, capsys, where):
+    delta = tmp_path / "delta.csv"
+    delta.write_text("0.0,1.0,2.0\n1.0,0.0,1.0\n2.0,1.0,0.0\n")
+    out = tmp_path / "labels.csv"
+    seed = ["--seed", "3"]
+    argv = ["analyze", "spectral", "--in", str(delta), "--scale", "2", "--k", "1", "--out", str(out)]
+    argv = [*seed, *argv] if where == "global" else [*argv, *seed]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: --seed is not read by analyze spectral without --kmeans\n"
+    )
+    assert not out.exists()
+    assert main([*argv, "--kmeans", "2"]) == 0
+    assert out.exists()

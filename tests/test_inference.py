@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import persint
 from persint.errors import (
     DegenerateStatisticError,
     IncompatibleGridsError,
@@ -15,6 +20,7 @@ from persint.errors import (
 from persint.field import GridSpec
 from persint.inference import (
     MAX_MEAN_PAIRS,
+    _canonical_rows,
     bias_scaling_study,
     field_diagram_source,
     ks_distance_to_normal,
@@ -201,6 +207,157 @@ def test_cached_partitions_match_the_uncached_loop():
             want.append(float(gap.sum() * pooled[0].spec.cell_area))
         assert res.null_stats == tuple(want)
         assert len(set(want)) <= 20
+
+
+# Frozen reference of the permutation kernel before it summed by BLAS
+# products: each group's mean adds its grids one row at a time in ascending
+# canonical order, and a dict keyed by the first slots caches each partition.
+
+
+def _frozen_row_mean(stack, rows):
+    acc = np.zeros(stack.shape[1])
+    for r in sorted(rows):
+        np.add(acc, stack[r], out=acc)
+    acc /= len(rows)
+    return acc
+
+
+def _frozen_mean_gap(stack, rows1, rows2, area):
+    return float(np.abs(_frozen_row_mean(stack, rows1) - _frozen_row_mean(stack, rows2)).sum() * area)
+
+
+def _frozen_permutation_test(group1, group2, B, seed):
+    """(statistic, p-value, null statistics) as the row-at-a-time kernel gives them."""
+    padded, cells, in1, area = _canonical_rows(group1, group2)
+    stack = np.ascontiguousarray(padded[:, :cells])
+    rows1, rows2 = np.flatnonzero(in1), np.flatnonzero(~in1)
+    observed = _frozen_mean_gap(stack, rows1, rows2, area)
+    n_small = min(rows1.size, rows2.size)
+    rng, idx = make_rng(seed), list(range(len(stack)))
+    slots = np.arange(len(idx), 1, -1)
+    null_stats, seen = [], {}
+    for _ in range(B):
+        swaps = scaled_index(rng.random(slots.size), slots).tolist()
+        for i, j in zip(range(len(idx) - 1, 0, -1), swaps):
+            idx[i], idx[j] = idx[j], idx[i]
+        key = tuple(sorted(idx[:n_small]))
+        if key not in seen:
+            seen[key] = _frozen_mean_gap(stack, key, idx[n_small:], area)
+        null_stats.append(seen[key])
+    return observed, (1 + sum(stat >= observed for stat in null_stats)) / (B + 1), tuple(null_stats)
+
+
+def _pool(seed, n1, n2, nx, ny):
+    """Two groups of nx x ny grids whose values span four decades."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(0, 1, 0, 1, nx, ny)
+    grids = [
+        IntensityGrid(spec=spec, values=rng.uniform(size=(nx, ny)) * 10.0 ** rng.uniform(-2, 2), tau=0.1)
+        for _ in range(n1 + n2)
+    ]
+    return grids[:n1], grids[n1:]
+
+
+def _outcome(res):
+    return res.statistic, res.p_value, res.null_stats
+
+
+# Sides whose cell count is not a multiple of 8, where BLAS tail kernels would
+# sum the last cells in another order without the kernel's padding.
+RAGGED_SIDES = st.tuples(st.integers(2, 13), st.integers(2, 13)).filter(lambda s: s[0] * s[1] % 8)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 128),
+    st.integers(1, 128),
+    RAGGED_SIDES,
+    st.integers(1, 300),
+)
+@settings(max_examples=100, deadline=None)
+def test_permutation_test_matches_the_row_at_a_time_kernel(seed, n1, n2, sides, B):
+    g1, g2 = _pool(seed, n1, n2, *sides)
+    want = _frozen_permutation_test(g1, g2, B, seed)
+    assert _outcome(permutation_test(g1, g2, B, seed)) == want
+    assert two_sample_statistic(g1, g2) == want[0]
+
+
+@pytest.mark.parametrize(
+    "n1, n2, sides", [(20, 20, (64, 64)), (20, 20, (63, 65)), (20, 20, (7, 9)), (128, 128, (3, 5)),
+                      (255, 1, (2, 3))]
+)
+def test_permutation_test_matches_the_row_at_a_time_kernel_on_set_pools(n1, n2, sides):
+    g1, g2 = _pool(3, n1, n2, *sides)
+    assert _outcome(permutation_test(g1, g2, 200, 5)) == _frozen_permutation_test(g1, g2, 200, 5)
+
+
+def test_a_one_vs_one_pool_with_one_permutation():
+    g1, g2 = _pool(4, 1, 1, 5, 7)
+    res = permutation_test(g1, g2, 1, 9)
+    assert _outcome(res) == _frozen_permutation_test(g1, g2, 1, 9)
+    assert res.null_stats[0] == res.statistic  # either draw of a 1-vs-1 pool is the observed partition
+    assert res.p_value == 1.0
+
+
+def test_the_statistic_of_one_grid_groups():
+    for sides in [(2, 3), (5, 7), (64, 64)]:
+        g1, g2 = _pool(5, 1, 1, *sides)
+        stack = np.stack([g.values.ravel() for g in g1 + g2])
+        want = float(np.abs(stack[0] - stack[1]).sum() * g1[0].spec.cell_area)
+        assert two_sample_statistic(g1, g2) == want == two_sample_statistic(g2, g1)
+
+
+def test_a_pool_deeper_than_one_block():
+    # 300 grids are summed in blocks of 256: not the row-at-a-time sums, but
+    # still a function of the partition alone.
+    g1, g2 = _pool(6, 140, 160, 3, 5)
+    res = permutation_test(g1, g2, 50, 11)
+    rng = np.random.default_rng(0)
+    relisted = ([g1[k] for k in rng.permutation(len(g1))], [g2[k] for k in rng.permutation(len(g2))])
+    assert two_sample_statistic(*relisted) == res.statistic == two_sample_statistic(g2, g1)
+    assert permutation_test(*relisted, 50, 11) == res
+    assert _outcome(permutation_test(g2, g1, 50, 11))[:2] == _outcome(res)[:2]
+    assert res.p_value in {(1 + k) / 51 for k in range(51)}
+
+
+def test_many_permutations_draw_their_uniforms_in_blocks():
+    # 3 vs 3 reads 5 uniforms per permutation, so 100,000 permutations cross
+    # several blocks of uniforms, and repeat each of 20 partitions thousands of times.
+    g1, g2 = _pool(7, 3, 3, 5, 5)
+    res = permutation_test(g1, g2, 100_000, 13)
+    assert _outcome(res) == _frozen_permutation_test(g1, g2, 100_000, 13)
+    assert len(set(res.null_stats)) <= 20
+
+
+_PERMUTATION_DIGEST = """
+import hashlib
+import numpy as np
+from persint.field import GridSpec
+from persint.inference import permutation_test
+from persint.intensity import IntensityGrid
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for n1, n2, nx, ny, B in [(20, 20, 64, 64, 200), (20, 20, 63, 65, 100), (3, 5, 7, 9, 300),
+                          (150, 130, 9, 9, 40)]:
+    spec = GridSpec(0, 1, 0, 1, nx, ny)
+    grids = [IntensityGrid(spec=spec, values=rng.uniform(size=(nx, ny)), tau=0.1)
+             for _ in range(n1 + n2)]
+    res = permutation_test(grids[:n1], grids[n1:], B, 1)
+    digest.update(np.array([res.statistic, res.p_value, *res.null_stats]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_permutation_statistics_do_not_depend_on_the_blas_thread_count():
+    def digest(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(persint.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", _PERMUTATION_DIGEST], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    assert digest("1") == digest("2")
 
 
 def test_vectorized_draws_match_scalar_loops():

@@ -11,6 +11,8 @@ from persint.persistence import (
     DIRECTIONS,
     PersistenceDiagram,
     PersistencePair,
+    _elder_merge,
+    _topology,
     _sublevel_pairs,
     compute_persistence,
     grid_persistence,
@@ -499,3 +501,29 @@ def test_sublevel_pairs_match_the_frozen_union_find(name, vals, max_dim):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     assert got[3] == want[3]
     assert len(got[0]) > 0 or name.startswith("zeros")
+
+
+def test_dim0_merges_are_the_basin_merges():
+    """_elder_merge returns no tree merge: in dim 0 a vertex that has a lower
+    neighbour dies at its own rank, so only the local minima but the lowest
+    are killed, each by an edge that enters after it."""
+    for name, vals, _ in _DIFFERENTIAL_FIELDS:
+        rank = np.empty(vals.size, dtype=np.int64)
+        rank[np.argsort(vals.ravel(), kind="stable")] = np.arange(vals.size)
+        edge_a, edge_b, index = _topology(*vals.shape)[:3]
+        edge_rank = np.maximum(rank[edge_a], rank[edge_b])
+        younger, killer = _elder_merge(-rank, edge_a, edge_b, edge_rank * edge_rank.size + index)
+        has_lower = np.zeros(vals.size, dtype=bool)
+        has_lower[edge_a[rank[edge_b] < rank[edge_a]]] = True
+        has_lower[edge_b[rank[edge_a] < rank[edge_b]]] = True
+        minima = set(np.flatnonzero(~has_lower).tolist()) - {int(rank.argmin())}
+        assert sorted(younger.tolist()) == sorted(minima), name
+        assert (edge_rank[killer] > rank[younger]).all(), name
+
+
+def test_grid_topology_is_cached_read_only():
+    arrays = _topology(5, 7)
+    assert arrays is _topology(5, 7)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1
