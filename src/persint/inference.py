@@ -515,17 +515,3 @@ def bias_scaling_study(source, taus, tau_ref, num_diagrams, seed, grid=(256, 256
         tau_ref=float(tau_ref),
         slope=loglog_slope(taus, deviations),
     )
-
-
-def rank_values(values):
-    """Ranks with ties averaged, 1-based."""
-    _, which, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True,
-                                 return_counts=True)
-    return (np.cumsum(counts) - 0.5 * (counts - 1))[which]
-
-
-def spearman(xs, ys):
-    """Spearman rank correlation; 0.0 when either sequence is constant."""
-    rx, ry = (r - r.mean() for r in (rank_values(xs), rank_values(ys)))
-    denom = math.sqrt(float((rx**2).sum() * (ry**2).sum()))
-    return 0.0 if denom == 0.0 else float((rx * ry).sum() / denom)

@@ -174,20 +174,6 @@ def _values_at(births, deaths, weights, tau, points):
     return np.einsum("p,pk,pk->k", weights, kx, ky, optimize=False) / (tau * tau)
 
 
-def pair_sum(diagram, fn, w=DEFAULT_WEIGHTS):
-    """Weighted sum of fn over the diagram's points, sum_j w_j fn(b_j, d_j), in stored order."""
-    births, deaths, weights, _ = pooled_pairs([diagram], w)
-    terms = zip(weights.tolist(), births.tolist(), deaths.tolist())
-    return float(sum(wt * fn(b, d) for wt, b, d in terms))
-
-
-def integrate_against(grid, fn):
-    """Riemann sum of fn(x, y) * intensity over the grid."""
-    xs = grid.spec.xs()[:, None]
-    ys = grid.spec.ys()[None, :]
-    return float((fn(xs, ys) * grid.values).sum() * grid.spec.cell_area)
-
-
 def _compatible(grids):
     """The grids as a list, checked to be nonempty and to share spec, tau and weights."""
     grids = list(grids)

@@ -7,21 +7,23 @@ negating the field, running the sublevel engine, un-negating, and swapping
 birth/death so stored points lie on or above the diagonal. Ties between
 equal values are broken by lexicographic (i, j) node order.
 
-Both dimensions run through one elder-rule union-find, :func:`_elder_merge`.
-Dim 0 merges grid vertices along edges in ascending filtration order. Dim 1
-uses planar duality: on a rectangle, the dim-1 pairs of the sublevel
-filtration are the dim-0 pairs of the reversed filtration on the dual graph,
-whose nodes are the squares plus one eldest "outside" node and whose edges
-are the primal edges (Garin et al., "Duality in persistent homology of
-images", arXiv:2005.04597; de Silva, Morozov, Vejdemo-Johansson,
-"Dualities in persistent (co)homology", arXiv:1107.5665). A dual merge
-pairs the killing edge (birth) with the younger square (death).
+Both dimensions run through one elder-rule union-find on a grid,
+:func:`_elder_merge`. Dim 0 merges the field's grid nodes along its edges in
+ascending filtration order. Dim 1 uses planar duality: on a rectangle, the
+dim-1 pairs of the sublevel filtration are the dim-0 pairs of the reversed
+filtration on the dual graph, whose nodes are the squares plus one eldest
+"outside" node and whose edges are the primal edges (Garin et al., "Duality
+in persistent homology of images", arXiv:2005.04597; de Silva, Morozov,
+Vejdemo-Johansson, "Dualities in persistent (co)homology", arXiv:1107.5665).
+That graph is the (nx+1) x (ny+1) dual grid: cell (i+1, j+1) is square (i, j),
+the border cells, all pointing at one corner from the start, are the outside,
+and a primal horizontal edge is a dual vertical one and the reverse. A dual
+merge pairs the killing edge (birth) with the younger square (death).
 
 A :class:`PersistenceDiagram` stores its pairs as three arrays, dims, births
 and deaths; :class:`PersistencePair` tuples are only a row view of them.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +33,7 @@ from .errors import CsvFormatError, InvalidInputError, InvalidParameterError
 from .field import _open_csv, _read_float_rows, _write_csv
 
 DIRECTIONS = ("superlevel", "sublevel")
+_NO_EDGE = np.iinfo(np.int64).max  # the key of an edge that never enters
 
 
 def _bad_pairs(dims, births, deaths):
@@ -99,89 +102,80 @@ class PersistenceDiagram:
         return tuple(sorted(self.pairs))
 
 
-def _elder_merge(node_key, edge_a, edge_b, edge_key):
-    """Elder-rule union-find over a graph whose edges enter by ascending key.
+def _elder_merge(node_key, h_key, v_key, start):
+    """Elder-rule union-find on a p x q grid whose edges enter by ascending key.
 
-    ``node_key`` ranks the nodes by age: of two merging components, the one
-    whose root has the higher key is elder and survives. Edge keys are
-    distinct, and every edge must enter after both its end nodes are born.
-    Returns two index arrays, the younger basin root killed by each merge
-    between basins and the edge that killed it.
+    ``node_key`` (p, q) ranks the cells by age: of two merging components,
+    the one whose root has the higher key is elder and survives. ``h_key``
+    (p, q-1) and ``v_key`` (p-1, q) key the edges from cell (i, j) to
+    (i, j+1) and to (i+1, j): distinct keys, but for ``_NO_EDGE`` on edges
+    inside one node, each entering after both its ends. ``start`` holds
+    each cell's flat index, row-major, or for a node of several cells the
+    index of one of them. Returns the flat cell of the younger basin root
+    killed by each merge between basins, and the killing key.
 
-    Basins are contracted with numpy first. A node's first entering edge,
-    the least key among its edges, is found by two scatter-mins; when its
-    far end is elder, that edge kills the node at once: the node points to
-    the far end. These tree merges are not returned: in _sublevel_pairs the
-    first edge enters at the node's own rank (in dim 0 it leads to a lower
-    neighbour; in dim 1, reversed, it holds the square's top vertex), so
-    they are pairs of zero length. Pointer jumping gives each node its basin
-    root. Only the crossing edges, whose basin roots differ, are sorted by
-    key, and of each unordered pair of basins only the first is kept, since
-    a later edge between two basins finds them already joined. The Python
-    loop then runs over a few dozen basin pairs, labelled 0..k-1.
+    Basins are contracted with numpy first. Four shifted comparisons of the
+    edge grids with the cell grid give each cell's first entering edge, the
+    least of its keys, as a step offset to its far end (1 or -1 along a row,
+    q or -q across); when the far end is elder, that edge kills the cell at
+    once: the cell points to the far end. These tree merges are not
+    returned: in _sublevel_pairs the first edge enters at the cell's own
+    rank (in dim 0 it leads to a lower neighbour; in dim 1, reversed, it
+    holds the square's top vertex), so they are pairs of zero length.
+    Pointer jumping gives each cell its basin root. Only the crossing
+    edges, whose end roots differ, are sorted by key, and of each unordered
+    pair of basins only the first is kept, since a later edge between two
+    basins finds them already joined. The Python loop then runs over a few
+    dozen basin pairs, labelled 0..k-1.
     """
-    n_nodes = node_key.size
-    no_edge = np.iinfo(np.int64).max
-    first_key = np.full(n_nodes, no_edge)
-    np.minimum.at(first_key, edge_a, edge_key)
-    np.minimum.at(first_key, edge_b, edge_key)
-    first_edge = np.empty(n_nodes, dtype=np.int64)
-    for end in (edge_a, edge_b):
-        is_first = np.flatnonzero(edge_key == first_key[end])
-        first_edge[end[is_first]] = is_first
-    node = np.flatnonzero(first_key < no_edge)
-    first = first_edge[node]
-    far = edge_a[first] + edge_b[first] - node  # the end that is not the node
-    tree = node_key[far] > node_key[node]
-    root = np.arange(n_nodes)
-    root[node[tree]] = far[tree]
+    q = node_key.shape[1]
+    first = np.full(node_key.shape, _NO_EDGE)
+    step = np.zeros(node_key.shape, dtype=np.int64)
+    for cells, edge, offset in (
+        (np.s_[:, :-1], h_key, 1), (np.s_[:, 1:], h_key, -1),
+        (np.s_[:-1], v_key, q), (np.s_[1:], v_key, -q),
+    ):
+        less = edge < first[cells]
+        np.copyto(first[cells], edge, where=less)
+        np.copyto(step[cells], offset, where=less)
+    key = node_key.ravel()
+    cell = np.arange(key.size)
+    far = cell + step.ravel()
+    root = np.where(key[far] > key, far, start.ravel())
     while True:
         jumped = root[root]
         if np.array_equal(jumped, root):
             break
         root = jumped
 
-    root_a, root_b = root[edge_a], root[edge_b]
-    cross = np.flatnonzero(root_a != root_b)
-    cross = cross[np.argsort(edge_key[cross])]
-    is_basin = root == np.arange(n_nodes)
+    r = root.reshape(node_key.shape)
+    crossings = []
+    for a, b, edge in ((r[:, :-1], r[:, 1:], h_key), (r[:-1], r[1:], v_key)):
+        crossing = a != b
+        crossings.append((a[crossing], b[crossing], edge[crossing]))
+    root_a, root_b, cross = (np.concatenate(x) for x in zip(*crossings))
+    entry = np.argsort(cross)
+    is_basin = root == cell
     basins, label = np.flatnonzero(is_basin), np.cumsum(is_basin) - 1
-    x_end, y_end = label[root_a[cross]], label[root_b[cross]]
+    x_end, y_end = label[root_a[entry]], label[root_b[entry]]
     pair = np.minimum(x_end, y_end) * basins.size + np.maximum(x_end, y_end)
     kept = np.sort(np.unique(pair, return_index=True)[1])
     parent = list(range(basins.size))
-    key = node_key[basins].tolist()
+    age = key[basins].tolist()
     younger, killer = [], []
-    for e, x, y in zip(cross[kept].tolist(), x_end[kept].tolist(), y_end[kept].tolist()):
+    for e, x, y in zip(cross[entry[kept]].tolist(), x_end[kept].tolist(), y_end[kept].tolist()):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
             parent[y] = y = parent[parent[y]]
         if x == y:
             continue
-        if key[x] < key[y]:
+        if age[x] < age[y]:
             x, y = y, x
         parent[y] = x
         younger.append(y)
         killer.append(e)
     return basins[np.array(younger, dtype=np.int64)], np.array(killer, dtype=np.int64)
-
-
-@functools.lru_cache(maxsize=8)
-def _topology(nx, ny):
-    """Read-only (edge_a, edge_b, edge index, dual_a, dual_b) of the nx x ny grid. Edges run
-    (i, j)-(i, j+1), then (i, j)-(i+1, j), row-major; dual node i*(ny-1) + j is square (i, j)."""
-    lin = np.arange(nx * ny).reshape(nx, ny)
-    dual = np.full((nx + 1, ny + 1), (nx - 1) * (ny - 1))
-    dual[1:-1, 1:-1] = np.arange((nx - 1) * (ny - 1)).reshape(nx - 1, ny - 1)
-    edge_a = np.concatenate([lin[:, :-1].ravel(), lin[:-1, :].ravel()])
-    edge_b = np.concatenate([lin[:, 1:].ravel(), lin[1:, :].ravel()])
-    dual_a = np.concatenate([dual[:-1, 1:-1].ravel(), dual[1:-1, :-1].ravel()])
-    dual_b = np.concatenate([dual[1:, 1:-1].ravel(), dual[1:-1, 1:].ravel()])
-    arrays = (edge_a, edge_b, np.arange(edge_a.size), dual_a, dual_b)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 def _sublevel_pairs(vals, max_dim):
@@ -205,28 +199,34 @@ def _sublevel_pairs(vals, max_dim):
         sval = flat[order]
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
+    r2 = rank.reshape(nx, ny)
 
-    # Edges enter by rank, ties in edge index order.
-    edge_a, edge_b, edge_index, dual_a, dual_b = _topology(nx, ny)
-    edge_rank = np.maximum(rank[edge_a], rank[edge_b])
-    edge_key = edge_rank * edge_rank.size + edge_index
+    # Edges enter by rank, ties by index: horizontal edges row-major, then vertical.
+    h_rank, v_rank = np.maximum(r2[:, :-1], r2[:, 1:]), np.maximum(r2[:-1], r2[1:])
+    n_edges = h_rank.size + v_rank.size
+    h_key = h_rank * n_edges + np.arange(h_rank.size).reshape(h_rank.shape)
+    v_key = v_rank * n_edges + np.arange(h_rank.size, n_edges).reshape(v_rank.shape)
 
-    younger, killer = _elder_merge(-rank, edge_a, edge_b, edge_key)
+    younger, killer = _elder_merge(-r2, h_key, v_key, np.arange(m))
     births = [flat[younger]]
-    deaths = [sval[edge_rank[killer]]]
+    deaths = [sval[killer // n_edges]]
     dims = [np.zeros(younger.size, dtype=np.int64)]
 
     if max_dim >= 1 and nx >= 2 and ny >= 2:
-        r2 = rank.reshape(nx, ny)
-        sq_rank = np.maximum(
+        # Reversed filtration on the dual grid: a later square is elder, the
+        # border cells (the outside) eldest, and edges between them never enter.
+        size = (nx + 1) * (ny + 1)
+        position = np.arange(size).reshape(nx + 1, ny + 1)
+        sq_key = np.full((nx + 1, ny + 1), m * size)
+        sq_key[1:-1, 1:-1] = size * np.maximum(
             np.maximum(r2[:-1, :-1], r2[:-1, 1:]), np.maximum(r2[1:, :-1], r2[1:, 1:])
-        ).ravel()
-        n_sq = sq_rank.size
-        # Reversed filtration: a later square is elder, "outside" eldest.
-        sq_key = np.append(sq_rank * n_sq + np.arange(n_sq), m * n_sq)
-        younger, killer = _elder_merge(sq_key, dual_a, dual_b, -edge_key)
-        births.append(sval[edge_rank[killer]])
-        deaths.append(sval[sq_rank[younger]])
+        ) + position[1:-1, 1:-1]
+        start = np.where(sq_key < m * size, position, 0)
+        dual_h, dual_v = np.full((nx + 1, ny), _NO_EDGE), np.full((nx, ny + 1), _NO_EDGE)
+        dual_h[1:-1], dual_v[:, 1:-1] = -v_key, -h_key
+        younger, killer = _elder_merge(sq_key, dual_h, dual_v, start)
+        births.append(sval[-killer // n_edges])
+        deaths.append(sval[sq_key.ravel()[younger] // size])
         dims.append(np.ones(younger.size, dtype=np.int64))
 
     dims, births, deaths = (np.concatenate(x) for x in (dims, births, deaths))

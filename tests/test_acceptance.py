@@ -21,18 +21,16 @@ from persint.inference import (
     normality_check,
     permutation_test,
     power_study,
-    spearman,
     synthetic_diagram_source,
 )
 from persint.intensity import (
     default_intensity_spec,
-    integrate_against,
-    pair_sum,
     smooth_diagram,
 )
 from persint.persistence import PersistenceDiagram, grid_persistence
 from persint.pipelines import run_fig2
 from persint.seeding import child_seed, make_rng
+from reference_sums import integrate_against, pair_sum, spearman
 
 WIDE_PROCESS = dict(mean_pairs=8, birth_center=0.5, birth_sd=0.25, life_mean=0.3)
 
