@@ -114,19 +114,33 @@ def default_kde_spec(cloud, h, nx, ny):
     return box_spec(cloud.x, cloud.y, 4.0 * h, nx, ny)
 
 
+# The least exponent whose kernel value exp(arg) / SQRT_TWO_PI is a normal double.
+_LOG_FLOOR = -707.4774799990594
+
+
 def _gaussian_rows(centers, nodes, bandwidth):
-    """Standard Gaussian kernel at ``(center - node) / bandwidth``, one row per center."""
-    return np.exp(-0.5 * ((centers[:, None] - nodes[None, :]) / bandwidth) ** 2) / SQRT_TWO_PI
+    """Standard Gaussian kernel at ``(center - node) / bandwidth``, one row per center.
+
+    A value below the smallest normal double is exactly 0.0: its exponent
+    becomes -inf first, which exp maps to zero off its slow path for
+    subnormal and underflowing results, and no product then pays a
+    microcode assist per subnormal. Every other value is
+    ``exp(arg) / SQRT_TWO_PI`` bit for bit.
+    """
+    arg = -0.5 * ((centers[:, None] - nodes[None, :]) / bandwidth) ** 2
+    arg[arg < _LOG_FLOOR] = -np.inf
+    np.exp(arg, out=arg)
+    arg /= SQRT_TWO_PI
+    return arg
 
 
 def kde_grid(cloud, h, spec):
     """Gaussian kernel density estimate of the cloud sampled at the grid nodes.
 
     Value at node x is ``(n h^2)^-1 sum_i K2((X_i - x)/h)`` with K2 the
-    product of two standard 1D Gaussian kernels. Evaluation is exact (no
-    kernel truncation); summation over points runs in fixed index order.
-    Desk-scale inputs make the O(n * nx * ny) cost affordable; truncating
-    the kernel at 5h would be the hook if larger inputs ever matter.
+    product of two standard 1D Gaussian kernels, each zero where its value
+    would fall below the smallest normal double (:func:`_gaussian_rows`).
+    Summation over points runs in fixed index order.
     """
     if len(cloud) == 0:
         raise InvalidInputError("kernel density of an empty cloud is undefined")

@@ -11,7 +11,10 @@ diagrams are compared and averaged pointwise on a shared grid.
 All smoothing runs through one kernel, :func:`smoothed_sum`. On the grid
 the sum over pairs is a matrix product, ``(w * Bx)^T @ By / tau^2`` with
 Bx and By the kernel rows of the births and deaths, and the kernel makes
-one BLAS product per chunk of pairs. Each diagram's grid is smoothed from
+one BLAS product per chunk of pairs. A kernel value below the smallest
+normal double is exactly zero, as in every kernel row of the package
+(``field._gaussian_rows``): far-tail lanes then skip exp's slow path, and
+the products read no subnormals. Each diagram's grid is smoothed from
 its own pairs alone, so it does not depend on which other diagrams are
 smoothed or averaged beside it, nor on the BLAS thread count. BLAS builds
 order the sums differently, so grids are equal to rounding, not bit for

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from hypothesis.extra.numpy import arrays
 from persint.analyze import read_matrix, write_matrix
 from persint.errors import CsvFormatError, InvalidInputError, InvalidParameterError
 from persint.field import (
+    SQRT_TWO_PI,
     GridField,
     GridSpec,
+    _LOG_FLOOR,
+    _gaussian_rows,
     _write_json,
     default_kde_spec,
     distance_grid,
@@ -115,6 +119,51 @@ def test_default_kde_spec_pads_4h():
     spec = default_kde_spec(cloud, 0.25, 16, 16)
     assert spec.x_lo == -1.0 and spec.x_hi == 2.0
     assert spec.y_lo == -1.0 and spec.y_hi == 3.0
+
+
+def _plain_rows(centers, nodes, h):
+    """The kernel rows as the plain formula gives them, subnormals included."""
+    return np.exp(-0.5 * ((centers[:, None] - nodes[None, :]) / h) ** 2) / SQRT_TWO_PI
+
+
+def test_log_floor_is_the_least_exponent_with_a_normal_kernel_value():
+    below = math.nextafter(_LOG_FLOOR, -math.inf)
+    assert math.exp(_LOG_FLOOR) / SQRT_TWO_PI >= sys.float_info.min
+    assert math.exp(below) / SQRT_TWO_PI < sys.float_info.min
+    # numpy's vector exp, on a full register of lanes, agrees.
+    assert (np.exp(np.full(16, _LOG_FLOOR)) / SQRT_TWO_PI >= sys.float_info.min).all()
+    assert (np.exp(np.full(16, below)) / SQRT_TWO_PI < sys.float_info.min).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.floats(1e-3, 1.0),
+    widths=st.floats(0.0, 100.0),
+    lo=st.floats(-10.0, 10.0),
+    centers=arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 1.0)),
+    nodes=arrays(np.float64, st.integers(1, 40), elements=st.floats(0.0, 1.0)),
+)
+def test_kernel_rows_below_the_smallest_normal_are_zero(h, widths, lo, centers, nodes):
+    """On boxes up to 100 bandwidths wide the rows reach far into the tail:
+    a value the plain formula puts at or above the smallest normal double
+    is kept bit for bit, and any other value is exactly zero."""
+    width = widths * h
+    centers, nodes = lo + width * centers, lo + width * nodes
+    rows, plain = _gaussian_rows(centers, nodes, h), _plain_rows(centers, nodes, h)
+    normal = plain >= sys.float_info.min
+    assert not ((rows > 0) & (rows < sys.float_info.min)).any()
+    assert rows[normal].tobytes() == plain[normal].tobytes()
+    assert (rows[~normal] == 0).all() and (plain[rows == 0] < sys.float_info.min).all()
+
+
+def test_kernel_rows_cross_the_floor_on_a_wide_box():
+    # Nodes every 0.01 bandwidths from 37 to 39 bandwidths out, where the
+    # plain values fall from normal through subnormal to zero.
+    nodes = np.arange(3700, 3901) * 1e-5
+    rows, plain = _gaussian_rows(np.zeros(1), nodes, 1e-3), _plain_rows(np.zeros(1), nodes, 1e-3)
+    normal = plain >= sys.float_info.min
+    assert normal.any() and ((plain > 0) & ~normal).any() and (plain == 0).any()
+    assert rows.tobytes() == np.where(normal, plain, 0.0).tobytes()
 
 
 def test_distance_exact_values():

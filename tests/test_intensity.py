@@ -16,7 +16,8 @@ from persint.errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from persint.field import GridSpec
+from persint.field import GridSpec, box_spec
+from persint.inference import synthetic_diagram_source
 from persint.intensity import (
     DEFAULT_WEIGHTS,
     IntensityGrid,
@@ -28,9 +29,11 @@ from persint.intensity import (
     pooled_pairs,
     read_intensity,
     smooth_diagram,
+    smoothed_sum,
     write_intensity,
 )
 from persint.persistence import PersistenceDiagram
+from persint.seeding import child_seeds
 from reference_sums import pair_sum
 
 
@@ -358,6 +361,21 @@ def test_kernel_bit_exact_on_128_grids():
     diagrams = _random_diagrams(5, 7, max_pairs=30)
     diagrams.append(_diag([(d % 2, 0.01 * d, 0.5 + 0.02 * d) for d in range(40)]))
     _assert_kernel_exact(diagrams, 0.1, spec)
+
+
+def test_smoothed_sum_at_the_mise_reference_shape():
+    # The mise workload's reference call, on fewer diagrams: its wide process,
+    # a 64² box padded by 4 of its largest sweep tau (N=8), and tau_ref (N=128).
+    # Many kernel lanes lie far in the tail, where the plain rows hold
+    # subnormals that the kernel's rows hold as zeros.
+    source = synthetic_diagram_source(mean_pairs=8, birth_center=0.5, birth_sd=0.25, life_mean=0.3)
+    births, deaths, weights, _ = source(child_seeds(7, (0,), 320))
+    spec = box_spec(births, deaths, 4 * 0.12 * 8 ** (-1 / 6), 64, 64)
+    tau = 0.5 * 0.12 * 128 ** (-1 / 6)
+    plain = np.exp(-0.5 * ((deaths[:, None] - spec.ys()[None, :]) / tau) ** 2)
+    assert ((plain > 0) & (plain < sys.float_info.min)).any()
+    diag = PersistenceDiagram(np.zeros(births.size, np.int64), births, deaths, direction="superlevel")
+    _assert_close(smoothed_sum(births, deaths, weights, tau, spec), _einsum_reference(diag, tau, spec))
 
 
 _GRID_DIGEST = """
